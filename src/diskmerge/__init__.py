@@ -8,9 +8,8 @@ exact rational arithmetic.
 
 from .core import (Assignment, Disk, DisjointnessMode, FormatError,
                    Instance, Point, VerificationReport, aggregate_radius,
-                   cardinality, format_rational, neighbor_sequence,
-                   parse_rational, prefix_aggregate_radius, verify_proper,
-                   verify_uproper)
+                   cardinality, centre_disjoint, format_rational,
+                   parse_rational, verify_proper, verify_uproper)
 from .formula import (Clause, MonotoneFormula, Polarity, RectilinearRep,
                       grid_embed, grid_size, validate_rep)
 from .gadgets import Gadget, GadgetKind, Pose, build_gadget, pose_at
@@ -34,8 +33,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Assignment", "Disk", "DisjointnessMode", "FormatError", "Instance",
     "Point", "VerificationReport", "aggregate_radius", "cardinality",
-    "format_rational", "neighbor_sequence", "parse_rational",
-    "prefix_aggregate_radius", "verify_proper", "verify_uproper",
+    "centre_disjoint", "format_rational", "parse_rational",
+    "verify_proper", "verify_uproper",
     "Clause", "MonotoneFormula", "Polarity", "RectilinearRep",
     "grid_embed", "grid_size", "validate_rep",
     "Gadget", "GadgetKind", "Pose", "build_gadget", "pose_at",

@@ -18,10 +18,9 @@ from typing import Optional
 from .core import (Disk, DisjointnessMode, FormatError, Instance, Point,
                    format_rational, parse_rational, verify_proper,
                    verify_uproper)
-from .formula import grid_embed, validate_rep
 from .reduction import reduce_sat
-from .serialization import (parse_assignment, parse_formula, parse_instance,
-                            parse_rep, serialize_assignment,
+from .serialization import (_dump, parse_assignment, parse_formula,
+                            parse_instance, parse_rep, serialize_assignment,
                             serialize_instance)
 from .solvers import (collinearity_check, solve_collinear, solve_exact_mcmd,
                       solve_exact_rmcmd)
@@ -38,7 +37,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _write_out(text: str, path: Optional[str]) -> None:
@@ -51,10 +53,6 @@ def _write_out(text: str, path: Optional[str]) -> None:
 
 def _mode(args) -> DisjointnessMode:
     return DisjointnessMode(args.mode)
-
-
-def _print_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
 def _cmd_solve(args) -> int:
@@ -79,7 +77,7 @@ def _cmd_solve(args) -> int:
             _write_out(doc, args.output)
         else:
             summary["target"] = json.loads(doc)["target"]
-    _print_json(summary)
+    sys.stdout.write(_dump(summary))
     return 0
 
 
@@ -88,8 +86,9 @@ def _cmd_verify(args) -> int:
     assignment = parse_assignment(_read(args.assignment))
     verifier = verify_uproper if args.relaxed else verify_proper
     report = verifier(instance, assignment, _mode(args))
-    _print_json({"ok": report.ok, "cardinality": report.cardinality,
-                 "violations": report.violations})
+    sys.stdout.write(_dump({"ok": report.ok,
+                            "cardinality": report.cardinality,
+                            "violations": report.violations}))
     if not report.ok:
         for v in report.violations:
             print(v, file=sys.stderr)
@@ -99,9 +98,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_reduce_sat(args) -> int:
     formula = parse_formula(_read(args.formula))
-    rep = parse_rep(_read(args.rep))
-    validate_rep(formula, rep)
-    art = reduce_sat(formula, grid_embed(formula, rep))
+    art = reduce_sat(formula, parse_rep(_read(args.rep)))
     _write_out(serialize_instance(art.instance, art.metadata()), args.output)
     print(f"{art.instance.n} disks, {len(art.gadgets)} gadgets",
           file=sys.stderr)

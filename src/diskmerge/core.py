@@ -13,6 +13,11 @@ into a selected disk.  Two verifiers are provided:
   dropped; absorbed centres must be reachable (non-strictly) when taken in
   distance order, and centre-disjointness still applies.
 
+Each rule is written once: :meth:`Instance.reach` walks the strict reach
+rule, :func:`centre_disjoint` decides the MAX/SUM bound and
+``_relaxed_walk`` walks the relaxed rule.  The verifiers here and the
+solvers in :mod:`diskmerge.solvers` all call these.
+
 All comparisons are performed on squared distances with
 :class:`fractions.Fraction`, so no floating point is involved anywhere.
 """
@@ -23,9 +28,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
-
-Rational = Fraction
+from typing import Iterable, Mapping, Optional, Sequence
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -49,6 +52,10 @@ def parse_rational(value) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise FormatError(f"zero denominator: {value!r}") from None
+        except ValueError:  # more digits than int() converts
+            raise FormatError(
+                f"rational has too many digits ({len(value)} characters)"
+            ) from None
     raise FormatError(f"not a rational number: {value!r}")
 
 
@@ -90,6 +97,14 @@ class DisjointnessMode(Enum):
     SUM = "sum"
 
 
+def centre_disjoint(d2: Fraction, a: Fraction, b: Fraction,
+                    mode: DisjointnessMode) -> bool:
+    """Whether two selected disks with aggregate radii ``a`` and ``b``,
+    whose centres lie at squared distance ``d2``, are centre-disjoint."""
+    bound = max(a, b) if mode is DisjointnessMode.MAX else a + b
+    return d2 >= bound * bound
+
+
 class Instance:
     """An immutable set of disks with ids ``1..n`` plus cached geometry."""
 
@@ -105,6 +120,7 @@ class Instance:
         self.n = len(disks)
         self._dist2: dict[tuple[int, int], Fraction] = {}
         self._neighbors: dict[int, tuple[int, ...]] = {}
+        self._reach: dict[int, tuple[Fraction, ...]] = {}
 
     def disk(self, i: int) -> Disk:
         return self.disks[i - 1]
@@ -126,6 +142,7 @@ class Instance:
         return cached
 
     def neighbor_sequence(self, i: int) -> tuple[int, ...]:
+        """Other disks ordered by increasing centre distance; ties by id."""
         seq = self._neighbors.get(i)
         if seq is None:
             others = [j for j in range(1, self.n + 1) if j != i]
@@ -133,6 +150,26 @@ class Instance:
             seq = tuple(others)
             self._neighbors[i] = seq
         return seq
+
+    def reach(self, i: int) -> tuple[Fraction, ...]:
+        """Running aggregate radii of disk ``i`` under the strict reach rule.
+
+        Entry ``j`` is the radius after merging the first ``j`` neighbours;
+        the walk stops at the first neighbour whose centre is not strictly
+        inside the radius so far, so prefix ``j`` is feasible iff
+        ``j < len(reach(i))``.
+        """
+        aggs = self._reach.get(i)
+        if aggs is None:
+            total = self.radius(i)
+            walk = [total]
+            for j in self.neighbor_sequence(i):
+                if self.dist2(i, j) >= total * total:
+                    break
+                total += self.radius(j)
+                walk.append(total)
+            aggs = self._reach[i] = tuple(walk)
+        return aggs
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Instance) and self.disks == other.disks
@@ -142,11 +179,6 @@ class Instance:
 
     def __repr__(self) -> str:
         return f"Instance(n={self.n})"
-
-
-def neighbor_sequence(instance: Instance, i: int) -> tuple[int, ...]:
-    """Other disks ordered by increasing centre distance; ties by id."""
-    return instance.neighbor_sequence(i)
 
 
 class Assignment:
@@ -211,15 +243,17 @@ def aggregate_radius(instance: Instance, assignment: Assignment, i: int) -> Frac
     )
 
 
-def prefix_aggregate_radius(instance: Instance, i: int, j: int) -> Fraction:
-    """Radius of disk ``i`` after absorbing the first ``j`` neighbours."""
-    if not (0 <= j <= instance.n - 1):
-        raise ValueError(f"prefix length {j} out of range 0..{instance.n - 1}")
-    seq = instance.neighbor_sequence(i)
+def _relaxed_walk(instance: Instance, i: int, members: Iterable[int],
+                  ) -> tuple[Fraction, Optional[int]]:
+    """Walk ``members`` into disk ``i`` in distance order (ties by id) under
+    the relaxed reach rule.  Returns the aggregate radius reached and the
+    first member out of reach, or ``None`` when every member is reached."""
     total = instance.radius(i)
-    for k in range(j):
-        total += instance.radius(seq[k])
-    return total
+    for j in sorted(members, key=lambda j: (instance.dist2(i, j), j)):
+        if instance.dist2(i, j) > total * total:
+            return total, j
+        total += instance.radius(j)
+    return total, None
 
 
 @dataclass
@@ -255,12 +289,8 @@ def _check_disjoint(instance: Instance, assignment: Assignment,
     for a in range(len(selected)):
         for b in range(a + 1, len(selected)):
             i, j = selected[a], selected[b]
-            d2 = instance.dist2(i, j)
-            if mode is DisjointnessMode.MAX:
-                bound = max(agg[i], agg[j])
-            else:
-                bound = agg[i] + agg[j]
-            if d2 < bound * bound:
+            if not centre_disjoint(instance.dist2(i, j), agg[i], agg[j],
+                                   mode):
                 violations.append(
                     f"selected disks {i} and {j} are not centre-disjoint "
                     f"({mode.value} rule)"
@@ -284,20 +314,15 @@ def verify_proper(instance: Instance, assignment: Assignment,
     for i in assignment.selected():
         members = set(assignment.merged_into(i))
         seq = instance.neighbor_sequence(i)
-        prefix = seq[: len(members)]
-        if set(prefix) != members:
+        if set(seq[: len(members)]) != members:
             violations.append(
                 f"disks merged into {i} are not a neighbour-sequence prefix"
             )
             continue
-        reach = instance.radius(i)
-        for j in prefix:
-            if instance.dist2(i, j) >= reach * reach:
-                violations.append(
-                    f"disk {j} is out of reach of disk {i} when merged"
-                )
-                break
-            reach += instance.radius(j)
+        feasible = len(instance.reach(i))
+        if len(members) >= feasible:
+            violations.append(f"disk {seq[feasible - 1]} is out of reach "
+                              f"of disk {i} when merged")
 
     _check_disjoint(instance, assignment, mode, violations)
     ok = not violations
@@ -319,16 +344,11 @@ def verify_uproper(instance: Instance, assignment: Assignment,
         return VerificationReport(False, 0, violations)
 
     for i in assignment.selected():
-        members = sorted(assignment.merged_into(i),
-                         key=lambda j: (instance.dist2(i, j), j))
-        reach = instance.radius(i)
-        for j in members:
-            if instance.dist2(i, j) > reach * reach:
-                violations.append(
-                    f"disk {j} is out of reach of disk {i} when merged (relaxed)"
-                )
-                break
-            reach += instance.radius(j)
+        _, out = _relaxed_walk(instance, i, assignment.merged_into(i))
+        if out is not None:
+            violations.append(
+                f"disk {out} is out of reach of disk {i} when merged (relaxed)"
+            )
 
     _check_disjoint(instance, assignment, mode, violations)
     ok = not violations

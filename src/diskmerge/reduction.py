@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .core import (Assignment, Disk, DisjointnessMode, FormatError, Instance,
                    Point, verify_proper)
 from .formula import MonotoneFormula, RectilinearRep, grid_embed
-from .gadgets import Gadget, GadgetKind, Pose, build_gadget
+from .gadgets import Gadget, GadgetKind, Pose, build_gadget, pose_at
 
 F = Fraction
 
@@ -42,10 +42,6 @@ _CORNER = {
 
 class ReductionError(FormatError):
     pass
-
-
-def _pose(matrix, x, y) -> Pose:
-    return Pose(matrix, Point(F(x), F(y)))
 
 
 @dataclass
@@ -250,7 +246,7 @@ def reduce_sat(formula: MonotoneFormula, rep: RectilinearRep
         first_col = legs[0][0] if legs else embedded.variable_segments[var - 1][0]
         input_index[var] = len(gadgets)
         add(build_gadget(GadgetKind.INPUT,
-                         _pose(_ID, 2 * first_col - 1, 0),
+                         pose_at(2 * first_col - 1, 0),
                          with_absorber=not legs,
                          role=f"input v{var}"),
             ("input", var))
@@ -259,7 +255,7 @@ def reduce_sat(formula: MonotoneFormula, rep: RectilinearRep
             drop = {"out_s" if positive else "out_n"}
             if idx == len(legs) - 1:
                 drop.add("out_e")
-            add(build_gadget(GadgetKind.COPY6, _pose(_ID, 2 * col, 0),
+            add(build_gadget(GadgetKind.COPY6, pose_at(2 * col, 0),
                              drop_ports=drop, role=f"crossing v{var}"),
                 ("crossing", var))
 
@@ -275,7 +271,7 @@ def reduce_sat(formula: MonotoneFormula, rep: RectilinearRep
             if positive:
                 for j in range(1, 3 * height - 1):
                     add(build_gadget(GadgetKind.COPY4,
-                                     _pose(_ROT_CCW, 2 * col, j),
+                                     pose_at(2 * col, j, _ROT_CCW),
                                      role=f"leg v{var} c{ci}"),
                         ("vcopy", var, positive, "a"))
             else:
@@ -285,19 +281,19 @@ def reduce_sat(formula: MonotoneFormula, rep: RectilinearRep
                 not_matrix = (0, -1, -1, 0) if li == 0 and len(cols) > 1 \
                     else _ROT_CW
                 add(build_gadget(GadgetKind.NOT,
-                                 _pose(not_matrix, 2 * col, -1),
+                                 pose_at(2 * col, -1, not_matrix),
                                  role=f"not v{var} c{ci}"),
                     ("not", var))
                 for j in range(2, 3 * height - 1):
                     add(build_gadget(GadgetKind.COPY4,
-                                     _pose(_ROT_CW, 2 * col, -j),
+                                     pose_at(2 * col, -j, _ROT_CW),
                                      role=f"leg v{var} c{ci}"),
                         ("vcopy", var, positive, "a"))
 
         # clause row: corners feed copies toward the disjunction
         def add_corner(col: int, var: int, side: str) -> None:
             add(build_gadget(GadgetKind.COPY6,
-                             _pose(_CORNER[(side, positive)], 2 * col, y),
+                             pose_at(2 * col, y, _CORNER[(side, positive)]),
                              drop_ports={"out_e", "out_n"},
                              role=f"corner c{ci} v{var}"),
                 ("corner", var, positive))
@@ -305,7 +301,7 @@ def reduce_sat(formula: MonotoneFormula, rep: RectilinearRep
         def add_hcopies(col_from: int, col_to: int, var: int,
                         source: str) -> None:
             for x0 in range(2 * col_from + 1, 2 * col_to - 1):
-                add(build_gadget(GadgetKind.COPY4, _pose(_ID, x0, y),
+                add(build_gadget(GadgetKind.COPY4, pose_at(x0, y),
                                  role=f"row c{ci}"),
                     ("hcopy", var, positive, source))
 
@@ -313,7 +309,7 @@ def reduce_sat(formula: MonotoneFormula, rep: RectilinearRep
         if len(cols) == 1:
             (c1, v1), = cols
             add(build_gadget(GadgetKind.DISJUNCTION,
-                             _pose(disj_matrix, 2 * c1, y),
+                             pose_at(2 * c1, y, disj_matrix),
                              drop_ports={"w", "e"}, role=f"clause c{ci}"),
                 ("disj", ci, (("s", v1, positive),)))
         elif len(cols) == 2:
@@ -321,7 +317,7 @@ def reduce_sat(formula: MonotoneFormula, rep: RectilinearRep
             add_corner(c1, v1, "left")
             add_hcopies(c1, c2, v1, "a")
             add(build_gadget(GadgetKind.DISJUNCTION,
-                             _pose(disj_matrix, 2 * c2, y),
+                             pose_at(2 * c2, y, disj_matrix),
                              drop_ports={"e"}, role=f"clause c{ci}"),
                 ("disj", ci, (("w", v1, positive), ("s", v2, positive))))
         else:
@@ -329,7 +325,7 @@ def reduce_sat(formula: MonotoneFormula, rep: RectilinearRep
             add_corner(c1, v1, "left")
             add_hcopies(c1, c2, v1, "a")
             add(build_gadget(GadgetKind.DISJUNCTION,
-                             _pose(disj_matrix, 2 * c2, y),
+                             pose_at(2 * c2, y, disj_matrix),
                              role=f"clause c{ci}"),
                 ("disj", ci, (("w", v1, positive), ("s", v2, positive),
                               ("e", v3, positive))))

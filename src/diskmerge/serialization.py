@@ -9,6 +9,7 @@ equal objects always yield byte-identical text.
 from __future__ import annotations
 
 import json
+import re
 from typing import Any, Optional
 
 from .core import (Assignment, Disk, FormatError, Instance, Point,
@@ -16,6 +17,8 @@ from .core import (Assignment, Disk, FormatError, Instance, Point,
 from .formula import Clause, MonotoneFormula, Polarity, RectilinearRep
 
 DOCUMENT_VERSION = 1
+
+_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def _dump(obj: Any) -> str:
@@ -28,6 +31,8 @@ def _load(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed document: {exc}") from exc
+    except RecursionError:
+        raise FormatError("malformed document: nested too deeply") from None
 
 
 def _require(doc: Any, kind: str) -> dict:
@@ -84,6 +89,20 @@ def serialize_instance(instance: Instance,
     return _dump(doc)
 
 
+def _parse_id(value: Any) -> Optional[int]:
+    """An int, or the canonical decimal string of one; ``None`` for values
+    such as ``1.9``, ``true``, ``" 1"`` or ``"01"`` that ``int()`` would
+    coerce."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _INT_RE.fullmatch(value):
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
 def parse_assignment(text: str) -> Assignment:
     doc = _require(_load(text), "assignment")
     raw = doc.get("target")
@@ -91,11 +110,9 @@ def parse_assignment(text: str) -> Assignment:
         raise FormatError("assignment document needs a 'target' map")
     mapping: dict[int, int] = {}
     for key, val in raw.items():
-        try:
-            src = int(key)
-            dst = int(val)
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"bad target entry {key!r}: {val!r}") from exc
+        src, dst = _parse_id(key), _parse_id(val)
+        if src is None or dst is None:
+            raise FormatError(f"bad target entry {key!r}: {val!r}")
         mapping[src] = dst
     n = len(mapping)
     if sorted(mapping) != list(range(1, n + 1)):

@@ -22,15 +22,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterator, Optional
 
 from .core import (
     Assignment,
     DisjointnessMode,
     Instance,
+    _relaxed_walk,
     cardinality,
+    centre_disjoint,
     verify_proper,
-    verify_uproper,
 )
 
 FEASIBLE = "FEASIBLE"
@@ -64,15 +66,6 @@ class MergeWindow:
     B: int
 
 
-@dataclass
-class DPTable:
-    """Best value per ``(x, y, z)`` state of the collinear DP (for
-    introspection; ``x`` = prefix size, ``y`` = right-most selected disk,
-    ``z`` = right-most disk covered by ``y``'s aggregate)."""
-
-    entries: dict[tuple[int, int, int], int] = field(default_factory=dict)
-
-
 def iter_idempotent_maps(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every idempotent self-map of ``{1..n}`` as a target tuple."""
     if n == 0:
@@ -96,36 +89,6 @@ def iter_idempotent_maps(n: int) -> Iterator[tuple[int, ...]]:
         yield from rec(0)
 
 
-def _reach_limits(instance: Instance) -> list[list[Fraction]]:
-    """For each disk, the largest feasible neighbour-prefix length plus the
-    running aggregate radii (strict reach rule).  Index 0 is unused."""
-    out: list[list[Fraction]] = [[]]
-    for i in range(1, instance.n + 1):
-        seq = instance.neighbor_sequence(i)
-        aggs = [instance.radius(i)]
-        for j in seq:
-            reach = aggs[-1]
-            if instance.dist2(i, j) >= reach * reach:
-                break
-            aggs.append(reach + instance.radius(j))
-        out.append(aggs)
-    return out
-
-
-def _disjoint_ok(instance: Instance, sel: list[int], aggs: dict[int, Fraction],
-                 mode: DisjointnessMode) -> bool:
-    for x in range(len(sel)):
-        for y in range(x + 1, len(sel)):
-            i, j = sel[x], sel[y]
-            if mode is DisjointnessMode.MAX:
-                bound = max(aggs[i], aggs[j])
-            else:
-                bound = aggs[i] + aggs[j]
-            if instance.dist2(i, j) < bound * bound:
-                return False
-    return True
-
-
 def enumerate_proper_assignments(
     instance: Instance,
     mode: DisjointnessMode = DisjointnessMode.MAX,
@@ -143,7 +106,7 @@ def enumerate_proper_assignments(
     if n == 0:
         yield Assignment(())
         return
-    reach = _reach_limits(instance)
+    reach = [()] + [instance.reach(i) for i in range(1, n + 1)]
     seqs = [()] + [instance.neighbor_sequence(i) for i in range(1, n + 1)]
 
     target: list[int] = [0] * (n + 1)  # 0 = undecided
@@ -154,20 +117,12 @@ def enumerate_proper_assignments(
         """Can disk ``i`` be selected with prefix length ``j`` right now?"""
         if target[i]:
             return False
-        if j > len(reach[i]) - 1:
+        if j >= len(reach[i]):
             return False
-        prefix = seqs[i][:j]
-        if any(target[p] for p in prefix):
+        if any(target[p] for p in seqs[i][:j]):
             return False
-        new_agg = reach[i][j]
-        for s in committed:
-            if mode is DisjointnessMode.MAX:
-                bound = max(agg[s], new_agg)
-            else:
-                bound = agg[s] + new_agg
-            if instance.dist2(i, s) < bound * bound:
-                return False
-        return True
+        return all(centre_disjoint(instance.dist2(i, s), agg[s], reach[i][j],
+                                   mode) for s in committed)
 
     def apply(i: int, j: int) -> None:
         target[i] = i
@@ -200,13 +155,8 @@ def enumerate_proper_assignments(
         for t in range(1, n + 1):
             if t == i or target[t]:
                 continue
-            seq = seqs[t]
-            try:
-                pos = seq.index(i)
-            except ValueError:
-                continue
-            for j in range(pos + 1, len(reach[t])):
-                if i in seq[:j] and commit_ok(t, j):
+            for j in range(seqs[t].index(i) + 1, len(reach[t])):
+                if commit_ok(t, j):
                     apply(t, j)
                     yield from rec(i + 1)
                     undo(t, j)
@@ -244,28 +194,6 @@ def solve_exact_mcmd(
     return SolveResult(FEASIBLE, card, Assignment(best[1]), {"accepted": count})
 
 
-def _uproper_ok(instance: Instance, target: tuple[int, ...],
-                mode: DisjointnessMode) -> bool:
-    n = instance.n
-    members: dict[int, list[int]] = {}
-    for j, t in enumerate(target, start=1):
-        if t != j:
-            members.setdefault(t, []).append(j)
-    aggs: dict[int, Fraction] = {}
-    for i in range(1, n + 1):
-        if target[i - 1] != i:
-            continue
-        reach = instance.radius(i)
-        for j in sorted(members.get(i, ()),
-                        key=lambda j: (instance.dist2(i, j), j)):
-            if instance.dist2(i, j) > reach * reach:
-                return False
-            reach += instance.radius(j)
-        aggs[i] = reach
-    sel = [i for i in range(1, n + 1) if target[i - 1] == i]
-    return _disjoint_ok(instance, sel, aggs, mode)
-
-
 def solve_exact_rmcmd(
     instance: Instance,
     mode: DisjointnessMode = DisjointnessMode.MAX,
@@ -281,12 +209,23 @@ def solve_exact_rmcmd(
     checked = 0
     for target in iter_idempotent_maps(n):
         checked += 1
-        if not _uproper_ok(instance, target, mode):
-            continue
-        card = sum(1 for j, t in enumerate(target, start=1) if t == j)
-        key = (-card, target)
-        if best is None or key < best:
-            best = key
+        members: dict[int, list[int]] = {
+            i: [] for i, t in enumerate(target, start=1) if t == i}
+        for j, t in enumerate(target, start=1):
+            if t != j:
+                members[t].append(j)
+        aggs = []
+        for i, merged in members.items():
+            agg, out = _relaxed_walk(instance, i, merged)
+            if out is not None:
+                break
+            aggs.append((i, agg))
+        else:
+            if all(centre_disjoint(instance.dist2(i, j), a, b, mode)
+                   for (i, a), (j, b) in combinations(aggs, 2)):
+                key = (-len(members), target)
+                if best is None or key < best:
+                    best = key
     if best is None:
         return SolveResult(INFEASIBLE, 0, None, {"checked": checked})
     return SolveResult(FEASIBLE, -best[0], Assignment(best[1]),
@@ -326,42 +265,6 @@ def collinearity_check(instance: Instance) -> Optional[tuple[int, ...]]:
     return tuple(ids)
 
 
-def merge_prefix_feasible(instance: Instance, i: int, j: int,
-                          order: Optional[tuple[int, ...]] = None,
-                          ) -> Optional[MergeWindow]:
-    """Feasibility of merging the first ``j`` neighbours into disk ``i`` on
-    a collinear instance; returns the merge window in positions along the
-    line, or ``None`` when the strict reach rule fails.
-
-    ``order`` may carry a precomputed result of :func:`collinearity_check`.
-    """
-    if order is None:
-        order = collinearity_check(instance)
-        if order is None:
-            raise ValueError("instance is not collinear")
-    pos = {disk_id: p for p, disk_id in enumerate(order, start=1)}
-    seq = instance.neighbor_sequence(i)
-    if j > len(seq):
-        return None
-    reach = instance.radius(i)
-    lo = hi = pos[i]
-    for k in range(j):
-        nb = seq[k]
-        if instance.dist2(i, nb) >= reach * reach:
-            return None
-        reach += instance.radius(nb)
-        lo = min(lo, pos[nb])
-        hi = max(hi, pos[nb])
-    # containment window at the final aggregate radius
-    A, B = pos[i], pos[i]
-    r2 = reach * reach
-    while A > 1 and instance.dist2(i, order[A - 2]) < r2:
-        A -= 1
-    while B < instance.n and instance.dist2(i, order[B]) < r2:
-        B += 1
-    return MergeWindow(lo, hi, A, B)
-
-
 def solve_collinear(
     instance: Instance,
     mode: DisjointnessMode = DisjointnessMode.MAX,
@@ -390,18 +293,17 @@ def solve_collinear(
     # non-contiguous range of positions (a same-centre sibling is skipped);
     # such a prefix can never be completed to a full valid assignment, so
     # the DP ignores it.
+    aggs = [()] + [instance.reach(id_at[p]) for p in range(1, n + 1)]
     windows: list[list[Optional[MergeWindow]]] = [[]]
-    aggs: list[list[Fraction]] = [[]]
     for p in range(1, n + 1):
         i = id_at[p]
         seq = instance.neighbor_sequence(i)
         wrow: list[Optional[MergeWindow]] = []
-        arow: list[Fraction] = []
-        reach = instance.radius(i)
         lo = hi = p
-        j = 0
-        while True:
-            # window for prefix length j (reach already validated)
+        for j, reach in enumerate(aggs[p]):
+            if j:
+                q = pos_of[seq[j - 1]]
+                lo, hi = min(lo, q), max(hi, q)
             if hi - lo == j:
                 A, B = p, p
                 r2 = reach * reach
@@ -412,18 +314,7 @@ def solve_collinear(
                 wrow.append(MergeWindow(lo, hi, A, B))
             else:
                 wrow.append(None)
-            arow.append(reach)
-            if j >= n - 1:
-                break
-            nb = seq[j]
-            if instance.dist2(i, nb) >= reach * reach:
-                break  # longer prefixes stay infeasible (monotone)
-            reach += instance.radius(nb)
-            lo = min(lo, pos_of[nb])
-            hi = max(hi, pos_of[nb])
-            j += 1
         windows.append(wrow)
-        aggs.append(arow)
 
     value: dict[tuple[int, int, int, int], int] = {}
     pred: dict[tuple[int, int, int, int], Optional[tuple[int, int, int, int]]] = {}
@@ -446,11 +337,12 @@ def solve_collinear(
                         wt = windows[t][k]
                         if wt is None or wt.b != w.a - 1 or wt.B >= y:
                             continue
-                        if mode is DisjointnessMode.SUM:
-                            bound = aggs[t][k] + aggs[y][j]
-                            d2 = instance.dist2(id_at[t], id_at[y])
-                            if d2 < bound * bound:
-                                continue
+                        # wt.B < y < w.A already rules out MAX overlaps
+                        if mode is DisjointnessMode.SUM and \
+                                not centre_disjoint(
+                                    instance.dist2(id_at[t], id_at[y]),
+                                    aggs[t][k], aggs[y][j], mode):
+                            continue
                         pkey = (w.a - 1, t, wt.B, k)
                         prev = value.get(pkey)
                         if prev is not None and prev + 1 > value.get(key, 0):
@@ -462,12 +354,6 @@ def solve_collinear(
     for (x, y, z, j), v in value.items():
         if x == n and z == n and v > best_val:
             best_val, best_key = v, (x, y, z, j)
-
-    table = DPTable()
-    for (x, y, z, j), v in value.items():
-        k3 = (x, y, z)
-        if v > table.entries.get(k3, 0):
-            table.entries[k3] = v
 
     stats = {"transitions": transitions, "entries": len(value)}
     if best_key is None:
@@ -489,5 +375,4 @@ def solve_collinear(
     if not report.ok:  # pragma: no cover - internal consistency guard
         raise AssertionError(
             f"DP reconstruction failed verification: {report.violations}")
-    stats["table"] = table
     return SolveResult(FEASIBLE, best_val, assignment, stats)

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, outputs, artifact validity."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diskmerge
 from diskmerge.cli import generate_random, run
 from diskmerge.core import Assignment
 from diskmerge.fixtures import relaxed_only_instance, single_positive_clause
@@ -141,3 +146,34 @@ class TestOtherCommands:
         assert run(["bogus"]) == 1
         assert run(["solve", "in.json"]) == 1  # neither --collinear nor --exact
         assert run(["solve", "--collinear", "/nonexistent.json"]) == 1
+
+    @pytest.mark.parametrize("raw", [
+        pytest.param(b'\xff{"version":1,"disks":[]}', id="non-utf8"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, id="deep-json"),
+        pytest.param(b'{"version":1,"disks":[{"id":1,"x":"' + b"1" * 5000 +
+                     b'","y":"0","r":"1"}]}', id="5000-digit-rational"),
+    ])
+    def test_bad_input_is_one_error_line(self, paths, capsys, raw):
+        inp = paths / "in.json"
+        inp.write_bytes(raw)
+        phi = write(paths / "phi.json",
+                    serialize_assignment(Assignment((1,))))
+        assert run(["verify", str(inp), phi]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_python_m_diskmerge(self, paths):
+        src = str(Path(diskmerge.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+        def main(*argv):
+            return subprocess.run([sys.executable, "-m", "diskmerge", *argv],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120)
+
+        shown = main("--help")
+        assert shown.returncode == 0 and "usage: diskmerge" in shown.stdout
+        missing = str(paths / "missing.json")
+        failed = main("verify", missing, missing)
+        assert failed.returncode == 1 and failed.stderr.startswith("error: ")

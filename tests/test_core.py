@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 
 from diskmerge.core import (Assignment, Disk, DisjointnessMode, FormatError,
                             Instance, Point, aggregate_radius, cardinality,
-                            format_rational, neighbor_sequence,
-                            parse_rational, prefix_aggregate_radius,
+                            centre_disjoint, format_rational, parse_rational,
                             verify_proper, verify_uproper)
 
 MAX = DisjointnessMode.MAX
@@ -64,13 +63,19 @@ class TestInstance:
 
     def test_neighbor_sequence_orders_by_distance_then_id(self):
         inst = mk((0, 0, 1), (3, 0, 1), (-3, 0, 1), (1, 0, 1))
-        assert neighbor_sequence(inst, 1) == (4, 2, 3)
+        assert inst.neighbor_sequence(1) == (4, 2, 3)
 
     def test_prefix_aggregate_strictly_increasing(self):
         inst = mk((0, 0, 2), (1, 0, 1), (2, 0, F(1, 2)))
-        vals = [prefix_aggregate_radius(inst, 1, j) for j in range(3)]
+        vals = list(inst.reach(1))
+        assert len(vals) == 3
         assert vals == sorted(set(vals))
         assert vals[0] == 2 and vals[-1] == F(7, 2)
+
+    def test_reach_stops_at_first_out_of_reach(self):
+        # prefixes 0..2 are feasible; the disk at 9 is out of reach
+        inst = mk((0, 0, 2), (F(3, 2), 0, 1), (F(5, 2), 0, 1), (9, 0, 1))
+        assert inst.reach(1) == (2, 3, 4)
 
 
 class TestAssignment:
@@ -151,6 +156,46 @@ class TestVerifyUproper:
     def test_aggregate_disjointness_applies(self):
         inst = mk((0, 0, 2), (1, 0, 1), (F(5, 2), 0, F(1, 4)))
         assert not verify_uproper(inst, Assignment((1, 1, 3)), MAX).ok
+
+
+class TestViolationMessages:
+    # 1 merges 3 past the nearer 2; 5 is out of 4's reach, and so is 12
+    # behind it; 8 reaches 9 but 10 sits on its boundary (strictly out,
+    # relaxed in) with 11 behind; 6 and 7 touch under MAX, overlap under SUM
+    inst = mk((0, 0, 2), (1, 0, 1), (F(-3, 2), 0, 1), (20, 0, 1),
+              (25, 0, 1), (40, 0, 1), (41, 0, 1), (60, 0, 1),
+              (F(121, 2), 0, 1), (62, 0, 1), (63, 0, 1), (26, 0, 1))
+    phi = Assignment((1, 2, 1, 4, 4, 6, 7, 8, 8, 8, 8, 4))
+    strict = ["disks merged into 1 are not a neighbour-sequence prefix",
+              "disk 5 is out of reach of disk 4 when merged",
+              "disk 10 is out of reach of disk 8 when merged"]
+    relaxed = ["disk 5 is out of reach of disk 4 when merged (relaxed)"]
+    overlaps = {
+        MAX: ["selected disks 1 and 2 are not centre-disjoint (max rule)"],
+        SUM: ["selected disks 1 and 2 are not centre-disjoint (sum rule)",
+              "selected disks 6 and 7 are not centre-disjoint (sum rule)"],
+    }
+
+    @pytest.mark.parametrize("mode", [MAX, SUM])
+    def test_strict_violations_in_order(self, mode):
+        report = verify_proper(self.inst, self.phi, mode)
+        assert report.violations == self.strict + self.overlaps[mode]
+        assert not report.ok and report.cardinality == 6
+
+    @pytest.mark.parametrize("mode", [MAX, SUM])
+    def test_relaxed_violations_in_order(self, mode):
+        report = verify_uproper(self.inst, self.phi, mode)
+        assert report.violations == self.relaxed + self.overlaps[mode]
+        assert not report.ok and report.cardinality == 6
+
+
+class TestCentreDisjoint:
+    def test_boundary_contact_allowed(self):
+        # aggregates 2 and 1 at distance 2: MAX holds, SUM needs 3
+        assert centre_disjoint(F(4), F(2), F(1), MAX)
+        assert not centre_disjoint(F(4), F(2), F(1), SUM)
+        assert centre_disjoint(F(9), F(2), F(1), SUM)
+        assert not centre_disjoint(F(4) - F(1, 100), F(1), F(2), MAX)
 
 
 class TestAggregateRadius:

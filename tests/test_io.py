@@ -81,10 +81,18 @@ class TestAssignmentDocuments:
         '{"version":1}',
         '{"version":1,"target":{"1":"1","3":"3"}}',   # gapped ids
         '{"version":1,"target":{"1":"x"}}',
+        '{"version":1,"target":{"1":1.9}}',
+        '{"version":1,"target":{"1":true}}',
+        '{"version":1,"target":{" 1":"1"}}',
+        '{"version":1,"target":{"1":"1","01":"1"}}',
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(FormatError):
             parse_assignment(text)
+
+    def test_accepts_int_targets(self):
+        text = '{"version":1,"target":{"1":1,"2":"1"}}'
+        assert parse_assignment(text) == Assignment((1, 1))
 
 
 class TestFormulaDocuments:

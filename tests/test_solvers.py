@@ -10,9 +10,8 @@ from diskmerge.core import (Assignment, Disk, DisjointnessMode, Instance,
 from diskmerge.fixtures import chain_merge_instance, relaxed_only_instance
 from diskmerge.solvers import (collinearity_check,
                                enumerate_proper_assignments,
-                               iter_idempotent_maps, merge_prefix_feasible,
-                               solve_collinear, solve_exact_mcmd,
-                               solve_exact_rmcmd)
+                               iter_idempotent_maps, solve_collinear,
+                               solve_exact_mcmd, solve_exact_rmcmd)
 
 MAX = DisjointnessMode.MAX
 SUM = DisjointnessMode.SUM
@@ -102,14 +101,6 @@ class TestCollinearityCheck:
         assert collinearity_check(inst) == (1, 2, 3)
         inst = mk((0, 0, 1), (1, 0, 1), (1, 0, 2))
         assert collinearity_check(inst) == (1, 2, 3)
-
-
-class TestMergePrefixFeasible:
-    def test_prefix_reach(self):
-        inst = mk((0, 0, 2), (F(3, 2), 0, 1), (F(5, 2), 0, 1), (9, 0, 1))
-        assert merge_prefix_feasible(inst, 1, 0) is not None
-        assert merge_prefix_feasible(inst, 1, 2) is not None
-        assert merge_prefix_feasible(inst, 1, 3) is None
 
 
 class TestSolveCollinear:
