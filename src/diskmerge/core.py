@@ -18,8 +18,11 @@ rule, :func:`centre_disjoint` decides the MAX/SUM bound and
 ``_relaxed_walk`` walks the relaxed rule.  The verifiers here and the
 solvers in :mod:`diskmerge.solvers` all call these.
 
-All comparisons are performed on squared distances with
-:class:`fractions.Fraction`, so no floating point is involved anywhere.
+Inputs and outputs are exact :class:`fractions.Fraction` values.  Inside,
+:class:`Instance` scales every coordinate and radius by ``L``, the lcm of
+their denominators, so each verdict compares squared distances and
+aggregate radii as Python ints (in units of ``1/L``); no floating point is
+involved anywhere.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -66,15 +70,20 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _common_scale(values: Iterable[Fraction]) -> int:
+    """``L``, the lcm of the denominators of ``values``: each ``v * L`` is
+    the int ``_scaled(v, L)``."""
+    return lcm(*{v.denominator for v in values})
+
+
+def _scaled(value: Fraction, scale: int) -> int:
+    return value.numerator * (scale // value.denominator)
+
+
 @dataclass(frozen=True, order=True)
 class Point:
     x: Fraction
     y: Fraction
-
-    def dist2(self, other: "Point") -> Fraction:
-        dx = self.x - other.x
-        dy = self.y - other.y
-        return dx * dx + dy * dy
 
 
 @dataclass(frozen=True)
@@ -97,16 +106,23 @@ class DisjointnessMode(Enum):
     SUM = "sum"
 
 
-def centre_disjoint(d2: Fraction, a: Fraction, b: Fraction,
-                    mode: DisjointnessMode) -> bool:
+def centre_disjoint(d2, a, b, mode: DisjointnessMode) -> bool:
     """Whether two selected disks with aggregate radii ``a`` and ``b``,
-    whose centres lie at squared distance ``d2``, are centre-disjoint."""
+    whose centres lie at squared distance ``d2``, are centre-disjoint.
+
+    Any exact numbers in consistent units work: Fractions, or the ints of
+    one :class:`Instance` (``_d2`` and aggregates scaled by its ``L``)."""
     bound = max(a, b) if mode is DisjointnessMode.MAX else a + b
     return d2 >= bound * bound
 
 
 class Instance:
-    """An immutable set of disks with ids ``1..n`` plus cached geometry."""
+    """An immutable set of disks with ids ``1..n`` plus cached geometry.
+
+    Coordinates and radii are kept scaled by ``L``, the lcm of all their
+    denominators, as ints indexed by disk id; squared distances
+    (``_d2``) and strict reach (``_reach``) are ints in those units.
+    """
 
     def __init__(self, disks: Iterable[Disk]):
         disks = tuple(sorted(disks, key=lambda d: d.id))
@@ -118,9 +134,13 @@ class Instance:
                 raise FormatError(f"disk {d.id} has non-positive radius")
         self.disks = disks
         self.n = len(disks)
-        self._dist2: dict[tuple[int, int], Fraction] = {}
+        self._scale = L = _common_scale(
+            v for d in disks for v in (d.center.x, d.center.y, d.radius))
+        self._x = (0,) + tuple(_scaled(d.center.x, L) for d in disks)
+        self._y = (0,) + tuple(_scaled(d.center.y, L) for d in disks)
+        self._r = (0,) + tuple(_scaled(d.radius, L) for d in disks)
         self._neighbors: dict[int, tuple[int, ...]] = {}
-        self._reach: dict[int, tuple[Fraction, ...]] = {}
+        self._reaches: dict[int, tuple[int, ...]] = {}
 
     def disk(self, i: int) -> Disk:
         return self.disks[i - 1]
@@ -131,25 +151,38 @@ class Instance:
     def center(self, i: int) -> Point:
         return self.disks[i - 1].center
 
+    def _d2(self, i: int, j: int) -> int:
+        """Squared centre distance in units of ``1/L**2``."""
+        dx = self._x[i] - self._x[j]
+        dy = self._y[i] - self._y[j]
+        return dx * dx + dy * dy
+
     def dist2(self, i: int, j: int) -> Fraction:
-        if i > j:
-            i, j = j, i
-        key = (i, j)
-        cached = self._dist2.get(key)
-        if cached is None:
-            cached = self.disks[i - 1].center.dist2(self.disks[j - 1].center)
-            self._dist2[key] = cached
-        return cached
+        return Fraction(self._d2(i, j), self._scale * self._scale)
 
     def neighbor_sequence(self, i: int) -> tuple[int, ...]:
         """Other disks ordered by increasing centre distance; ties by id."""
         seq = self._neighbors.get(i)
         if seq is None:
-            others = [j for j in range(1, self.n + 1) if j != i]
-            others.sort(key=lambda j: (self.dist2(i, j), j))
-            seq = tuple(others)
-            self._neighbors[i] = seq
+            d2 = self._d2
+            others = sorted((d2(i, j), j)
+                            for j in range(1, self.n + 1) if j != i)
+            seq = self._neighbors[i] = tuple(j for _, j in others)
         return seq
+
+    def _reach(self, i: int) -> tuple[int, ...]:
+        """:meth:`reach` in units of ``1/L``."""
+        aggs = self._reaches.get(i)
+        if aggs is None:
+            total = self._r[i]
+            walk = [total]
+            for j in self.neighbor_sequence(i):
+                if self._d2(i, j) >= total * total:
+                    break
+                total += self._r[j]
+                walk.append(total)
+            aggs = self._reaches[i] = tuple(walk)
+        return aggs
 
     def reach(self, i: int) -> tuple[Fraction, ...]:
         """Running aggregate radii of disk ``i`` under the strict reach rule.
@@ -159,17 +192,7 @@ class Instance:
         inside the radius so far, so prefix ``j`` is feasible iff
         ``j < len(reach(i))``.
         """
-        aggs = self._reach.get(i)
-        if aggs is None:
-            total = self.radius(i)
-            walk = [total]
-            for j in self.neighbor_sequence(i):
-                if self.dist2(i, j) >= total * total:
-                    break
-                total += self.radius(j)
-                walk.append(total)
-            aggs = self._reach[i] = tuple(walk)
-        return aggs
+        return tuple(Fraction(t, self._scale) for t in self._reach(i))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Instance) and self.disks == other.disks
@@ -244,15 +267,17 @@ def aggregate_radius(instance: Instance, assignment: Assignment, i: int) -> Frac
 
 
 def _relaxed_walk(instance: Instance, i: int, members: Iterable[int],
-                  ) -> tuple[Fraction, Optional[int]]:
+                  ) -> tuple[int, Optional[int]]:
     """Walk ``members`` into disk ``i`` in distance order (ties by id) under
-    the relaxed reach rule.  Returns the aggregate radius reached and the
-    first member out of reach, or ``None`` when every member is reached."""
-    total = instance.radius(i)
-    for j in sorted(members, key=lambda j: (instance.dist2(i, j), j)):
-        if instance.dist2(i, j) > total * total:
+    the relaxed reach rule.  Returns the aggregate radius reached, in units
+    of ``1/L``, and the first member out of reach, or ``None`` when every
+    member is reached."""
+    r = instance._r
+    total = r[i]
+    for d2, j in sorted((instance._d2(i, j), j) for j in members):
+        if d2 > total * total:
             return total, j
-        total += instance.radius(j)
+        total += r[j]
     return total, None
 
 
@@ -285,11 +310,13 @@ def _check_shape(instance: Instance, assignment: Assignment,
 def _check_disjoint(instance: Instance, assignment: Assignment,
                     mode: DisjointnessMode, violations: list[str]) -> None:
     selected = assignment.selected()
-    agg = {i: aggregate_radius(instance, assignment, i) for i in selected}
+    agg = dict.fromkeys(selected, 0)
+    for j, t in enumerate(assignment.target, start=1):
+        agg[t] += instance._r[j]
     for a in range(len(selected)):
         for b in range(a + 1, len(selected)):
             i, j = selected[a], selected[b]
-            if not centre_disjoint(instance.dist2(i, j), agg[i], agg[j],
+            if not centre_disjoint(instance._d2(i, j), agg[i], agg[j],
                                    mode):
                 violations.append(
                     f"selected disks {i} and {j} are not centre-disjoint "
@@ -319,7 +346,7 @@ def verify_proper(instance: Instance, assignment: Assignment,
                 f"disks merged into {i} are not a neighbour-sequence prefix"
             )
             continue
-        feasible = len(instance.reach(i))
+        feasible = len(instance._reach(i))
         if len(members) >= feasible:
             violations.append(f"disk {seq[feasible - 1]} is out of reach "
                               f"of disk {i} when merged")

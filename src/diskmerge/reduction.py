@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (Assignment, Disk, DisjointnessMode, FormatError, Instance,
-                   Point, verify_proper)
+                   Point, _common_scale, _scaled, verify_proper)
 from .formula import MonotoneFormula, RectilinearRep, grid_embed
 from .gadgets import Gadget, GadgetKind, Pose, build_gadget, pose_at
 
@@ -65,16 +65,11 @@ def assemble(gadgets: Sequence[Gadget]) -> Assembly:
     means the layout violates the required separations.
     """
     sdisk_list: list[tuple[int, str, Point, Fraction]] = []
-    marker_list: list[tuple[int, str, Point]] = []
     owners: dict[Point, list[tuple[int, str]]] = {}
     for gi, g in enumerate(gadgets):
         for name, p, r in g.sdisks:
             sdisk_list.append((gi, name, p, r))
-        for name, p in g.mdisks:
-            marker_list.append((gi, name, p))
-            owners.setdefault(p, []).append((gi, name))
-        for name, p in g.ports:
-            marker_list.append((gi, name, p))
+        for name, p in list(g.mdisks) + list(g.ports):
             owners.setdefault(p, []).append((gi, name))
 
     if any(len(v) > 2 for v in owners.values()):
@@ -84,45 +79,56 @@ def assemble(gadgets: Sequence[Gadget]) -> Assembly:
     if k == 0:
         raise ReductionError("no marker disks")
 
-    own_points: list[set[Point]] = [set() for _ in gadgets]
-    for gi, _, p in marker_list:
-        own_points[gi].add(p)
+    # exact comparisons on ints: every coordinate and radius times L
+    centres = [c for _, _, c, _ in sdisk_list] + marker_centers
+    L = _common_scale([r for *_, r in sdisk_list]
+                      + [v for p in centres for v in (p.x, p.y)])
+    sel = [(_scaled(c.x, L), _scaled(c.y, L), _scaled(r, L))
+           for _, _, c, r in sdisk_list]
+    mk = [(_scaled(p.x, L), _scaled(p.y, L)) for p in marker_centers]
+    own_markers: list[set[int]] = [set() for _ in gadgets]
+    for m, p in enumerate(marker_centers):
+        for gi, _ in owners[p]:
+            own_markers[gi].add(m)
 
     # selected selectors must stay centre-disjoint
-    for i, (gi, n1, c1, r1) in enumerate(sdisk_list):
-        for gj, n2, c2, r2 in sdisk_list[i + 1:]:
+    for i, (x1, y1, r1) in enumerate(sel):
+        for j in range(i + 1, len(sel)):
+            x2, y2, r2 = sel[j]
             m = max(r1, r2)
-            if c1.dist2(c2) < m * m:
+            if (x1 - x2) ** 2 + (y1 - y2) ** 2 < m * m:
+                gi, n1 = sdisk_list[i][:2]
+                gj, n2 = sdisk_list[j][:2]
                 raise ReductionError(
                     f"selectors {gi}:{n1} and {gj}:{n2} too close")
 
-    # clearance from each selector to everything it must never absorb
-    min_term: Optional[Fraction] = None
-    for gi, name, c, r in sdisk_list:
+    # clearance from each selector to everything it must never absorb:
+    # the least (d2 - r^2) / (2r + 1), kept as a numerator/denominator
+    # pair of ints (both scaled by L^2) and compared by cross-multiplying
+    min_term: Optional[tuple[int, int]] = None
+    for i, (gi, name, _, _) in enumerate(sdisk_list):
+        x, y, r = sel[i]
         r2 = r * r
-        targets = [p for p in marker_centers if p not in own_points[gi]]
-        targets += [c2 for gj, n2, c2, _ in sdisk_list
-                    if (gj, n2) != (gi, name)]
-        for p in targets:
-            d2 = c.dist2(p)
+        den = L * (2 * r + L)
+        others = [(q, marker_centers[m], m in own_markers[gi])
+                  for m, q in enumerate(mk)]
+        others += [(s[:2], sdisk_list[j][2], False)
+                   for j, s in enumerate(sel) if j != i]
+        for (qx, qy), p, is_own in others:
+            d2 = (qx - x) ** 2 + (qy - y) ** 2
             if d2 <= r2:
+                if is_own:  # own marker within the base radius
+                    continue
                 raise ReductionError(
                     f"selector {gi}:{name} overlaps a foreign disk at {p}")
-            term = (d2 - r2) / (2 * r + 1)
-            if min_term is None or term < min_term:
-                min_term = term
-        # own marker points beyond the base radius must also stay out
-        for p in own_points[gi]:
-            d2 = c.dist2(p)
-            if d2 > r2:
-                term = (d2 - r2) / (2 * r + 1)
-                if min_term is None or term < min_term:
-                    min_term = term
+            num = d2 - r2
+            if min_term is None or num * min_term[1] < min_term[0] * den:
+                min_term = (num, den)
 
     m2 = None
-    for i, p in enumerate(marker_centers):
-        for q in marker_centers[i + 1:]:
-            d2 = p.dist2(q)
+    for i, (x1, y1) in enumerate(mk):
+        for x2, y2 in mk[i + 1:]:
+            d2 = (x1 - x2) ** 2 + (y1 - y2) ** 2
             if d2 == 0:
                 raise ReductionError("distinct markers share a centre")
             if m2 is None or d2 < m2:
@@ -130,9 +136,9 @@ def assemble(gadgets: Sequence[Gadget]) -> Assembly:
 
     eps = F(1, 4 * k)
     if min_term is not None:
-        eps = min(eps, min_term / k)
+        eps = min(eps, F(min_term[0], min_term[1] * k))
     if m2 is not None:
-        eps = min(eps, min(m2, F(1)) / (2 * k))
+        eps = min(eps, min(F(m2, L * L), F(1)) / (2 * k))
 
     # ids: per gadget, selectors first, then new marker centres
     disks: list[Disk] = []

@@ -26,9 +26,19 @@ def _dump(obj: Any) -> str:
                       ensure_ascii=True) + "\n"
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object, rejecting a repeated key rather than keeping the last."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise FormatError(f"malformed document: duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load(text: str) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed document: {exc}") from exc
     except RecursionError:

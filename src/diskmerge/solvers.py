@@ -21,7 +21,6 @@ assignments of gadget instances.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional
 
@@ -106,12 +105,12 @@ def enumerate_proper_assignments(
     if n == 0:
         yield Assignment(())
         return
-    reach = [()] + [instance.reach(i) for i in range(1, n + 1)]
+    reach = [()] + [instance._reach(i) for i in range(1, n + 1)]
     seqs = [()] + [instance.neighbor_sequence(i) for i in range(1, n + 1)]
 
     target: list[int] = [0] * (n + 1)  # 0 = undecided
     committed: list[int] = []          # selected disks, in commit order
-    agg: dict[int, Fraction] = {}
+    agg: dict[int, int] = {}           # scaled aggregate radii
 
     def commit_ok(i: int, j: int) -> bool:
         """Can disk ``i`` be selected with prefix length ``j`` right now?"""
@@ -121,7 +120,7 @@ def enumerate_proper_assignments(
             return False
         if any(target[p] for p in seqs[i][:j]):
             return False
-        return all(centre_disjoint(instance.dist2(i, s), agg[s], reach[i][j],
+        return all(centre_disjoint(instance._d2(i, s), agg[s], reach[i][j],
                                    mode) for s in committed)
 
     def apply(i: int, j: int) -> None:
@@ -221,7 +220,7 @@ def solve_exact_rmcmd(
                 break
             aggs.append((i, agg))
         else:
-            if all(centre_disjoint(instance.dist2(i, j), a, b, mode)
+            if all(centre_disjoint(instance._d2(i, j), a, b, mode)
                    for (i, a), (j, b) in combinations(aggs, 2)):
                 key = (-len(members), target)
                 if best is None or key < best:
@@ -244,20 +243,18 @@ def collinearity_check(instance: Instance) -> Optional[tuple[int, ...]]:
     ids = list(range(1, n + 1))
     if n <= 1:
         return tuple(ids)
-    base = instance.center(1)
+    xs, ys = instance._x, instance._y  # scaled ints
     direction = None
     for i in ids[1:]:
-        c = instance.center(i)
-        if c != base:
-            direction = (c.x - base.x, c.y - base.y)
+        if xs[i] != xs[1] or ys[i] != ys[1]:
+            direction = (xs[i] - xs[1], ys[i] - ys[1])
             break
     if direction is None:
         return tuple(ids)  # all centres coincide
     dx, dy = direction
     proj = {}
     for i in ids:
-        c = instance.center(i)
-        vx, vy = c.x - base.x, c.y - base.y
+        vx, vy = xs[i] - xs[1], ys[i] - ys[1]
         if vx * dy - vy * dx != 0:
             return None
         proj[i] = vx * dx + vy * dy
@@ -293,7 +290,7 @@ def solve_collinear(
     # non-contiguous range of positions (a same-centre sibling is skipped);
     # such a prefix can never be completed to a full valid assignment, so
     # the DP ignores it.
-    aggs = [()] + [instance.reach(id_at[p]) for p in range(1, n + 1)]
+    aggs = [()] + [instance._reach(id_at[p]) for p in range(1, n + 1)]
     windows: list[list[Optional[MergeWindow]]] = [[]]
     for p in range(1, n + 1):
         i = id_at[p]
@@ -307,9 +304,9 @@ def solve_collinear(
             if hi - lo == j:
                 A, B = p, p
                 r2 = reach * reach
-                while A > 1 and instance.dist2(i, id_at[A - 1]) < r2:
+                while A > 1 and instance._d2(i, id_at[A - 1]) < r2:
                     A -= 1
-                while B < n and instance.dist2(i, id_at[B + 1]) < r2:
+                while B < n and instance._d2(i, id_at[B + 1]) < r2:
                     B += 1
                 wrow.append(MergeWindow(lo, hi, A, B))
             else:
@@ -340,7 +337,7 @@ def solve_collinear(
                         # wt.B < y < w.A already rules out MAX overlaps
                         if mode is DisjointnessMode.SUM and \
                                 not centre_disjoint(
-                                    instance.dist2(id_at[t], id_at[y]),
+                                    instance._d2(id_at[t], id_at[y]),
                                     aggs[t][k], aggs[y][j], mode):
                             continue
                         pkey = (w.a - 1, t, wt.B, k)

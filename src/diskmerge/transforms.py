@@ -29,6 +29,14 @@ def equalize_radii(instance: Instance, r: Fraction) -> EqualizedInstance:
     radius per original centre is preserved exactly; the concentric
     copies pairwise overlap, so any centre-disjoint selection keeps at
     most one of them.
+
+    The relaxed optimum is not preserved in general, because the copies
+    of one disk may merge into different targets.  The disks
+    ((3/4, -1/2), 1), ((1/2, 1/4), 1), ((-3/4, -1/2), 2) and
+    ((-7/4, -7/4), 2) have relaxed optimum 1; after splitting with r = 1
+    it is 2, with the two copies of the third disk merged into the
+    second disk and into a copy of the fourth.  The strict optimum is 1
+    before and after.
     """
     if r <= 0:
         raise FormatError("target radius must be positive")

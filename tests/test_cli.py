@@ -162,6 +162,18 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_duplicate_key_is_one_error_line(self, paths, capsys):
+        # last-key-wins would read the map (1, 2), which verifies
+        inst = write(paths / "in.json", '{"version":1,"disks":['
+                     '{"id":1,"x":"0","y":"0","r":"1"},'
+                     '{"id":2,"x":"9","y":"0","r":"1"}]}')
+        phi = write(paths / "phi.json",
+                    '{"version":1,"target":{"1":"1","2":"1","2":"2"}}')
+        assert run(["verify", inst, phi]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "duplicate key '2'" in err
+
     def test_python_m_diskmerge(self, paths):
         src = str(Path(diskmerge.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -3,12 +3,12 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from diskmerge.core import (Assignment, Disk, DisjointnessMode, FormatError,
-                            Instance, Point, aggregate_radius, cardinality,
-                            centre_disjoint, format_rational, parse_rational,
-                            verify_proper, verify_uproper)
+                            Instance, Point, _relaxed_walk, aggregate_radius,
+                            cardinality, centre_disjoint, format_rational,
+                            parse_rational, verify_proper, verify_uproper)
 
 MAX = DisjointnessMode.MAX
 SUM = DisjointnessMode.SUM
@@ -203,3 +203,149 @@ class TestAggregateRadius:
         inst = mk((0, 0, 2), (1, 0, 1), (F(5, 2), 0, F(1, 2)))
         a = Assignment((1, 1, 1))
         assert aggregate_radius(inst, a, 1) == F(7, 2)
+
+
+# An independent Fraction-only reference for the integer kernel: every
+# rule written out directly on the disks' exact coordinates and radii.
+
+def ref_dist2(inst, i, j):
+    p, q = inst.center(i), inst.center(j)
+    return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
+
+
+def ref_by_distance(inst, i, others):
+    return sorted(others, key=lambda j: (ref_dist2(inst, i, j), j))
+
+
+def ref_neighbors(inst, i):
+    return tuple(ref_by_distance(
+        inst, i, [j for j in range(1, inst.n + 1) if j != i]))
+
+
+def ref_reach(inst, i):
+    total = inst.radius(i)
+    walk = [total]
+    for j in ref_neighbors(inst, i):
+        if not ref_dist2(inst, i, j) < total * total:
+            break
+        total += inst.radius(j)
+        walk.append(total)
+    return tuple(walk)
+
+
+def ref_relaxed_out(inst, i, members):
+    total = inst.radius(i)
+    for j in ref_by_distance(inst, i, members):
+        if ref_dist2(inst, i, j) > total * total:
+            return j
+        total += inst.radius(j)
+    return None
+
+
+def ref_violations(inst, target, mode, strict):
+    n = inst.n
+    phi = dict(enumerate(target, start=1))
+    shape = [f"not idempotent: {i} -> {phi[i]} -> {phi[phi[i]]}"
+             for i in range(1, n + 1) if phi[phi[i]] != phi[i]]
+    if shape:
+        return shape
+    out = []
+    selected = [i for i in range(1, n + 1) if phi[i] == i]
+    for i in selected:
+        members = [j for j in range(1, n + 1) if j != i and phi[j] == i]
+        if not strict:
+            far = ref_relaxed_out(inst, i, members)
+            if far is not None:
+                out.append(f"disk {far} is out of reach of disk {i} "
+                           f"when merged (relaxed)")
+            continue
+        seq = ref_neighbors(inst, i)
+        if set(seq[:len(members)]) != set(members):
+            out.append(f"disks merged into {i} are not a "
+                       f"neighbour-sequence prefix")
+            continue
+        feasible = len(ref_reach(inst, i))
+        if len(members) >= feasible:
+            out.append(f"disk {seq[feasible - 1]} is out of reach of "
+                       f"disk {i} when merged")
+    agg = {i: sum(inst.radius(j) for j in range(1, n + 1) if phi[j] == i)
+           for i in selected}
+    for a, i in enumerate(selected):
+        for j in selected[a + 1:]:
+            bound = max(agg[i], agg[j]) if mode is MAX else agg[i] + agg[j]
+            if ref_dist2(inst, i, j) < bound * bound:
+                out.append(f"selected disks {i} and {j} are not "
+                           f"centre-disjoint ({mode.value} rule)")
+    return out
+
+
+# pairwise-coprime denominators make the common scale L large
+kernel_rationals = st.builds(F, st.integers(-60, 60),
+                             st.sampled_from((1, 2, 7, 11, 13)))
+kernel_radii = st.builds(F, st.integers(1, 30),
+                         st.sampled_from((1, 2, 7, 11, 13)))
+
+
+@st.composite
+def kernel_instances(draw):
+    """Up to 7 disks; a disk may share an earlier centre or sit exactly at
+    an earlier disk's radius, or radius plus one more radius, from its
+    centre (tangency, where strict and relaxed reach differ)."""
+    disks = []
+    for i in range(draw(st.integers(1, 7))):
+        how = draw(st.sampled_from(("free", "same", "tangent"))) \
+            if disks else "free"
+        if how == "free":
+            centre = Point(draw(kernel_rationals), draw(kernel_rationals))
+        else:
+            base = draw(st.sampled_from(disks))
+            centre = base.center
+            if how == "tangent":
+                gap = base.radius + draw(st.sampled_from(
+                    [F(0)] + [d.radius for d in disks]))
+                centre = Point(centre.x + gap * F(3, 5),
+                               centre.y + gap * F(4, 5))
+        disks.append(Disk(i + 1, centre, draw(kernel_radii)))
+    return Instance(disks)
+
+
+@st.composite
+def kernel_cases(draw):
+    inst = draw(kernel_instances())
+    n = inst.n
+    ids = st.integers(1, n)
+    if draw(st.booleans()):  # any self-map, idempotent or not
+        target = draw(st.lists(ids, min_size=n, max_size=n))
+    else:
+        chosen = draw(st.sets(ids, min_size=1))
+        target = [i if i in chosen else draw(st.sampled_from(sorted(chosen)))
+                  for i in range(1, n + 1)]
+    return inst, tuple(target)
+
+
+class TestIntegerKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    def test_matches_fraction_reference(self, case):
+        inst, target = case
+        n = inst.n
+        for i in range(1, n + 1):
+            assert inst.neighbor_sequence(i) == ref_neighbors(inst, i)
+            reach = inst.reach(i)
+            assert reach == ref_reach(inst, i)
+            assert all(type(v) is F for v in reach)
+            for j in range(1, n + 1):
+                d2 = inst.dist2(i, j)
+                assert type(d2) is F and d2 == ref_dist2(inst, i, j)
+            members = [j for j in range(1, n + 1)
+                       if j != i and target[j - 1] == i]
+            assert _relaxed_walk(inst, i, members)[1] == \
+                ref_relaxed_out(inst, i, members)
+        phi = Assignment(target)
+        for mode in (MAX, SUM):
+            for verify, strict in ((verify_proper, True),
+                                   (verify_uproper, False)):
+                expected = ref_violations(inst, target, mode, strict)
+                report = verify(inst, phi, mode)
+                assert report.violations == expected
+                assert report.ok == (not expected)

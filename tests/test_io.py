@@ -58,6 +58,9 @@ class TestInstanceDocuments:
         '{"version":1,"disks":[{"id":2,"x":"0","y":"0","r":"1"}]}',
         '{"version":1,"disks":[{"id":1,"x":0.5,"y":"0","r":"1"}]}',
         '{"version":1,"disks":[{"id":1,"y":"0","r":"1"}]}',
+        # a repeated key is rejected, not resolved to its last value
+        '{"version":1,"disks":[{"id":1,"x":"0","x":"5","y":"0","r":"1"}]}',
+        '{"version":1,"disks":[],"disks":[{"id":1,"x":"0","y":"0","r":"1"}]}',
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(FormatError):
@@ -85,6 +88,8 @@ class TestAssignmentDocuments:
         '{"version":1,"target":{"1":true}}',
         '{"version":1,"target":{" 1":"1"}}',
         '{"version":1,"target":{"1":"1","01":"1"}}',
+        '{"version":1,"target":{"1":"1","2":"1","2":"2"}}',
+        '{"version":1,"version":1,"target":{"1":"1"}}',
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(FormatError):

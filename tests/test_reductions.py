@@ -1,12 +1,13 @@
 """Gadgets, the SAT reduction, and the transform-style reductions."""
 
+import hashlib
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 
 from diskmerge.core import (Assignment, Disk, FormatError, Instance, Point,
-                            verify_proper)
+                            verify_proper, verify_uproper)
 from diskmerge.fixtures import (FORMULA_FIXTURES, single_negative_clause,
                                 three_clause_formula)
 from diskmerge.formula import grid_embed
@@ -15,8 +16,9 @@ from diskmerge.reduction import (ReductionError, assemble,
                                  build_assignment_from_sat,
                                  extract_sat_assignment, port_harness,
                                  reduce_sat)
+from diskmerge.serialization import serialize_instance
 from diskmerge.solvers import (enumerate_proper_assignments,
-                               solve_exact_rmcmd)
+                               solve_exact_mcmd, solve_exact_rmcmd)
 from diskmerge.transforms import (PartitionInput, equalize_radii,
                                   reduce_partition)
 
@@ -135,6 +137,54 @@ class TestReduceSat:
         assert len(meta["gadgets"]) == len(art.gadgets)
 
 
+# Epsilon and the sha256 of the instance document (metadata included, as
+# `reduce sat` writes it) for every formula fixture, and the epsilon of
+# every gadget's port harness, recorded from the Fraction-only assemble.
+# The integer kernel must reproduce them exactly.
+SAT_PINS = {
+    "three_clause": ("289/4854800", "876a5deb058c5efab27a887b9f017e83"
+                     "a5cba55e391334d4815855290adedd4d"),
+    "single_positive": ("11/16125", "1e651bad9f9e232b26885a19f07e824f"
+                        "6af6c03edc8df18a4b4205dd06555588"),
+    "single_negative": ("289/911600", "3b49941a945c227e62cd6e82d92650310"
+                        "bf0be583537b7b70216a4a1499695d8"),
+    "nested_positive": ("11/50625", "37defcccf0689bb4557835d605c1ef1b3"
+                        "84ac5284a768b716e821054ec0fdddc"),
+    "mixed_polarity": ("289/1462800", "44453d2bdfd11279a2da151e34713f77"
+                       "c0433d380b907a876bf6e85c048a8969"),
+    "unit_clause": ("11/3375", "aac5b5cd53c768b75e568c2ced80de87"
+                    "c45849be7e7c79aa85315583ceddee63"),
+    "variables_only": ("3/400", "14a8726c6e2cc5211510a4bfe45a68ce"
+                       "4efd4eab6f53a9ebdea230031c1bd4c3"),
+}
+HARNESS_EPSILON = {
+    GadgetKind.INPUT: F(3, 200),
+    GadgetKind.COPY4: F(11, 2250),
+    GadgetKind.COPY6: F(9, 2000),
+    GadgetKind.DISJUNCTION: F(9, 1400),
+    GadgetKind.NOT: F(1, 240),
+}
+
+
+class TestReductionPinned:
+    def test_every_fixture_pinned(self):
+        assert set(SAT_PINS) == set(FORMULA_FIXTURES)
+        assert set(HARNESS_EPSILON) == set(GadgetKind)
+
+    @pytest.mark.parametrize("name", sorted(SAT_PINS))
+    def test_reduce_sat_bytes(self, name):
+        f, rep = FORMULA_FIXTURES[name]()
+        art = reduce_sat(f, rep)
+        text = serialize_instance(art.instance, art.metadata())
+        assert (str(art.epsilon),
+                hashlib.sha256(text.encode()).hexdigest()) == SAT_PINS[name]
+
+    @pytest.mark.parametrize("kind", list(GadgetKind))
+    def test_port_harness_epsilon(self, kind):
+        asm = port_harness(build_gadget(kind, Pose()))
+        assert asm.epsilon == HARNESS_EPSILON[kind]
+
+
 class TestReducePartition:
     def test_construction_coordinates(self):
         inst = reduce_partition(PartitionInput((F(1), F(1))))
@@ -187,3 +237,20 @@ class TestEqualizeRadii:
         eq = equalize_radii(inst, F(1))
         assert solve_exact_rmcmd(inst).cardinality == \
             solve_exact_rmcmd(eq.instance).cardinality
+
+    def test_relaxed_optimum_counterexample(self):
+        # equalize_radii does not preserve the relaxed optimum: the two
+        # copies of disk 3 (split ids 3 and 4) merge into different
+        # targets (2 and 5), which the unsplit disk 3 cannot do
+        inst = Instance([Disk(1, Point(F(3, 4), F(-1, 2)), F(1)),
+                         Disk(2, Point(F(1, 2), F(1, 4)), F(1)),
+                         Disk(3, Point(F(-3, 4), F(-1, 2)), F(2)),
+                         Disk(4, Point(F(-7, 4), F(-7, 4)), F(2))])
+        eq = equalize_radii(inst, F(1)).instance
+        assert solve_exact_rmcmd(inst).cardinality == 1
+        relaxed = solve_exact_rmcmd(eq)
+        assert relaxed.cardinality == 2
+        assert relaxed.assignment == Assignment((2, 2, 2, 5, 5, 5))
+        assert verify_uproper(eq, relaxed.assignment).ok
+        assert solve_exact_mcmd(inst).cardinality == 1
+        assert solve_exact_mcmd(eq).cardinality == 1
