@@ -80,13 +80,13 @@ def _scaled(value: Fraction, scale: int) -> int:
     return value.numerator * (scale // value.denominator)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Point:
     x: Fraction
     y: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Disk:
     id: int
     center: Point
@@ -235,12 +235,6 @@ class Assignment:
         return tuple(
             j for j in range(1, self.n + 1) if j != i and self.target[j - 1] == i
         )
-
-    def is_idempotent(self) -> bool:
-        return all(self.target[t - 1] == t for t in self.target)
-
-    def as_dict(self) -> dict[int, int]:
-        return {i: t for i, t in enumerate(self.target, start=1)}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Assignment) and self.target == other.target

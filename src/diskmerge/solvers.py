@@ -1,4 +1,4 @@
-"""Exact solvers: brute-force oracles and the collinear dynamic program.
+"""Exact solvers: exhaustive oracles and the collinear dynamic program.
 
 Three engines live here:
 
@@ -7,9 +7,15 @@ Three engines live here:
   which covers every assignment the strict verifier can accept (merged
   sets are always neighbour-sequence prefixes), and breaks ties towards
   the lexicographically smallest target map.
-* :func:`solve_exact_rmcmd` -- optimal solver for the relaxed rules.  It
-  enumerates every idempotent self-map and keeps the best one accepted by
-  the relaxed verifier.
+* :func:`solve_exact_rmcmd` -- optimal solver for the relaxed rules by
+  depth-first branch and bound.  It resolves disks in id order and tries
+  targets in ascending id, so leaves come out in lexicographic order of
+  the target tuple; it prunes only subtrees that hold no accepted map
+  (reach bound, disjointness of partial aggregates) or no map better
+  than the best found (selected + undecided at most the best
+  cardinality).  The first optimum found is therefore the
+  lexicographically smallest one, the same tie-break as the strict
+  oracle.
 * :func:`solve_collinear` -- polynomial dynamic program for instances
   whose centres are collinear, with full solution reconstruction.
 
@@ -21,7 +27,6 @@ assignments of gadget instances.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterator, Optional
 
 from .core import (
@@ -63,29 +68,6 @@ class MergeWindow:
     b: int
     A: int
     B: int
-
-
-def iter_idempotent_maps(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield every idempotent self-map of ``{1..n}`` as a target tuple."""
-    if n == 0:
-        yield ()
-        return
-    for mask in range(1, 1 << n):
-        selected = [i + 1 for i in range(n) if mask >> i & 1]
-        others = [i for i in range(1, n + 1) if not mask >> (i - 1) & 1]
-        target = [0] * n
-        for s in selected:
-            target[s - 1] = s
-
-        def rec(idx: int):
-            if idx == len(others):
-                yield tuple(target)
-                return
-            j = others[idx]
-            for s in selected:
-                target[j - 1] = s
-                yield from rec(idx + 1)
-        yield from rec(0)
 
 
 def enumerate_proper_assignments(
@@ -193,41 +175,116 @@ def solve_exact_mcmd(
     return SolveResult(FEASIBLE, card, Assignment(best[1]), {"accepted": count})
 
 
+def _relaxed_reach_bounds(instance: Instance) -> list[int]:
+    """Upper bound ``U_t`` on the aggregate radius of each disk ``t`` under
+    the relaxed rule, in units of ``1/L`` (index 0 unused).
+
+    ``U_t`` is the least fixed point of ``U = r_t + sum r_j`` over the
+    ``j != t`` with ``_d2(t, j) <= U**2``.  Every member of a walk that
+    ``_relaxed_walk`` accepts lies within the aggregate of the members
+    before it, so by induction within ``U_t``: a disk ``j`` can merge into
+    ``t`` only if ``_d2(t, j) <= U_t**2``.
+    """
+    n, r = instance.n, instance._r
+    bounds = [0]
+    for t in range(1, n + 1):
+        bound = r[t]
+        while True:
+            grown = r[t] + sum(r[j] for j in range(1, n + 1) if j != t
+                               and instance._d2(t, j) <= bound * bound)
+            if grown == bound:
+                break
+            bound = grown
+        bounds.append(bound)
+    return bounds
+
+
 def solve_exact_rmcmd(
     instance: Instance,
     mode: DisjointnessMode = DisjointnessMode.MAX,
     max_n: int = 9,
 ) -> SolveResult:
-    """Optimal relaxed-rules solver: checks every idempotent self-map."""
+    """Optimal relaxed-rules solver by exact branch and bound.
+
+    The search resolves the undecided disks in id order and tries their
+    targets in ascending id: the disk itself (select it), or a disk ``t``
+    that is, or becomes, selected.  Leaves therefore come out in
+    lexicographic order of the target tuple.  Three prunes are exact:
+
+    * reach -- ``i`` may merge into ``t`` only if ``_d2(t, i) <= U_t**2``
+      (:func:`_relaxed_reach_bounds`);
+    * disjointness -- aggregates only grow as members are added, so a
+      :func:`centre_disjoint` failure on partial aggregates is final;
+    * cardinality -- a subtree whose ``selected + undecided`` is at most
+      the best cardinality found is cut.  Every leaf found later is
+      lexicographically larger, so cutting ties keeps the tie-break.
+
+    ``_relaxed_walk`` is not monotone as members are added, so each
+    member set is walked only at a leaf.  Returns the maximum-cardinality
+    accepted assignment, ties broken by the lexicographically smallest
+    target tuple, or ``INFEASIBLE``.  ``stats["checked"]`` counts search
+    nodes.
+    """
     n = instance.n
     if n > max_n:
         raise ValueError(f"instance size {n} exceeds oracle limit {max_n}")
     if n == 0:
         return SolveResult(FEASIBLE, 0, Assignment(()))
-    best: Optional[tuple[int, tuple[int, ...]]] = None
+    bounds = _relaxed_reach_bounds(instance)
+    d2 = [[0] * (n + 1)] + [[0] + [instance._d2(i, j)
+                                   for j in range(1, n + 1)]
+                            for i in range(1, n + 1)]
+    # candidate targets of each disk, ascending: itself or any t in reach
+    cands = [()] + [tuple(t for t in range(1, n + 1)
+                          if t == i or d2[t][i] <= bounds[t] * bounds[t])
+                    for i in range(1, n + 1)]
+    r = instance._r
+    target = [0] * (n + 1)              # 0 = undecided
+    agg = [0] * (n + 1)                 # partial aggregates of selected disks
+    members: list[list[int]] = [[] for _ in range(n + 1)]
+    selected: list[int] = []
+    best_card = 0
+    best: Optional[tuple[int, ...]] = None
     checked = 0
-    for target in iter_idempotent_maps(n):
+
+    def rec(i: int, undecided: int) -> None:
+        nonlocal best_card, best, checked
         checked += 1
-        members: dict[int, list[int]] = {
-            i: [] for i, t in enumerate(target, start=1) if t == i}
-        for j, t in enumerate(target, start=1):
-            if t != j:
-                members[t].append(j)
-        aggs = []
-        for i, merged in members.items():
-            agg, out = _relaxed_walk(instance, i, merged)
-            if out is not None:
-                break
-            aggs.append((i, agg))
-        else:
-            if all(centre_disjoint(instance._d2(i, j), a, b, mode)
-                   for (i, a), (j, b) in combinations(aggs, 2)):
-                key = (-len(members), target)
-                if best is None or key < best:
-                    best = key
+        if len(selected) + undecided <= best_card:
+            return
+        while i <= n and target[i]:
+            i += 1
+        if i > n:
+            if all(_relaxed_walk(instance, t, members[t])[1] is None
+                   for t in selected if members[t]):
+                best_card, best = len(selected), tuple(target[1:])
+            return
+        for t in cands[i]:
+            fresh = not target[t]      # t == i, or t > i: t gets selected
+            if not fresh and target[t] != t:
+                continue               # t is already merged elsewhere
+            target[i] = target[t] = t
+            if fresh:
+                agg[t] = r[t]
+                selected.append(t)
+            if t != i:
+                agg[t] += r[i]
+                members[t].append(i)
+            if all(s == t or centre_disjoint(d2[t][s], agg[t], agg[s], mode)
+                   for s in selected):
+                rec(i + 1, undecided - (2 if fresh and t != i else 1))
+            if t != i:
+                agg[t] -= r[i]
+                members[t].pop()
+            if fresh:
+                selected.pop()
+                target[t] = 0
+            target[i] = 0
+
+    rec(1, n)
     if best is None:
         return SolveResult(INFEASIBLE, 0, None, {"checked": checked})
-    return SolveResult(FEASIBLE, -best[0], Assignment(best[1]),
+    return SolveResult(FEASIBLE, best_card, Assignment(best),
                        {"checked": checked})
 
 

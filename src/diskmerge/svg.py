@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (Assignment, DisjointnessMode, FormatError, Instance,
-                   aggregate_radius, verify_proper, verify_uproper)
+                   verify_uproper)
 
 _MARGIN = Fraction(1)
 _DECIMALS = 4
@@ -40,11 +40,16 @@ def render_svg(instance: Instance,
                options: Optional[RenderOptions] = None) -> str:
     """Render the instance (and optionally a verified assignment) as SVG."""
     opts = options or RenderOptions()
+    aggs: dict[int, Fraction] = {}  # selected disk -> aggregate radius
     if assignment is not None:
         report = verify_uproper(instance, assignment, opts.mode)
         if not report.ok:
             raise FormatError(
                 f"assignment fails verification: {report.violations[0]}")
+        totals = dict.fromkeys(assignment.selected(), 0)
+        for j, t in enumerate(assignment.target, start=1):
+            totals[t] += instance._r[j]
+        aggs = {i: Fraction(a, instance._scale) for i, a in totals.items()}
 
     s = opts.scale
     if instance.n == 0:
@@ -56,14 +61,12 @@ def render_svg(instance: Instance,
         max_x = max(d.center.x + d.radius for d in instance.disks) + _MARGIN
         min_y = min(d.center.y - d.radius for d in instance.disks) - _MARGIN
         max_y = max(d.center.y + d.radius for d in instance.disks) + _MARGIN
-        if assignment is not None:
-            for i in assignment.selected():
-                agg = aggregate_radius(instance, assignment, i)
-                c = instance.center(i)
-                min_x = min(min_x, c.x - agg - _MARGIN)
-                max_x = max(max_x, c.x + agg + _MARGIN)
-                min_y = min(min_y, c.y - agg - _MARGIN)
-                max_y = max(max_y, c.y + agg + _MARGIN)
+        for i, agg in aggs.items():
+            c = instance.center(i)
+            min_x = min(min_x, c.x - agg - _MARGIN)
+            max_x = max(max_x, c.x + agg + _MARGIN)
+            min_y = min(min_y, c.y - agg - _MARGIN)
+            max_y = max(max_y, c.y + agg + _MARGIN)
         width = (max_x - min_x) * s
         height = (max_y - min_y) * s
 
@@ -100,17 +103,15 @@ def render_svg(instance: Instance,
             f'r="{_fmt(d.radius * s)}" fill="none" '
             f'stroke="{stroke}" stroke-width="1.5"/>')
 
-    if assignment is not None:
-        for i in assignment.selected():
-            agg = aggregate_radius(instance, assignment, i)
-            if agg == instance.radius(i):
-                continue  # nothing merged in; base circle already drawn
-            c = instance.center(i)
-            lines.append(
-                f'<circle cx="{px(c.x)}" cy="{py(c.y)}" '
-                f'r="{_fmt(agg * s)}" fill="none" '
-                f'stroke="#cc0000" stroke-width="1" '
-                f'stroke-dasharray="6 4"/>')
+    for i, agg in aggs.items():
+        if agg == instance.radius(i):
+            continue  # nothing merged in; base circle already drawn
+        c = instance.center(i)
+        lines.append(
+            f'<circle cx="{px(c.x)}" cy="{py(c.y)}" '
+            f'r="{_fmt(agg * s)}" fill="none" '
+            f'stroke="#cc0000" stroke-width="1" '
+            f'stroke-dasharray="6 4"/>')
 
     if opts.labels:
         for d in instance.disks:

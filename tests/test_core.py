@@ -1,10 +1,16 @@
-"""Verifier and primitive-type behaviour."""
+"""Verifier and primitive-type behaviour, and the package namespace."""
 
+import importlib
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import diskmerge
 from diskmerge.core import (Assignment, Disk, DisjointnessMode, FormatError,
                             Instance, Point, _relaxed_walk, aggregate_radius,
                             cardinality, centre_disjoint, format_rational,
@@ -349,3 +355,41 @@ class TestIntegerKernel:
                 report = verify(inst, phi, mode)
                 assert report.violations == expected
                 assert report.ok == (not expected)
+
+
+class TestRuleImplication:
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_cases())
+    def test_strict_acceptance_implies_relaxed(self, case):
+        # a strict prefix is walked in the same (distance, id) order, and
+        # strictly inside implies within; disjointness is the same rule
+        inst, target = case
+        phi = Assignment(target)
+        for mode in (MAX, SUM):
+            if verify_proper(inst, phi, mode).ok:
+                assert verify_uproper(inst, phi, mode).ok
+
+
+class TestPackage:
+    def test_public_names_are_the_submodule_objects(self):
+        for name in diskmerge.__all__:
+            home = importlib.import_module(
+                f"diskmerge.{diskmerge._HOME[name]}")
+            assert getattr(diskmerge, name) is getattr(home, name)
+        assert set(diskmerge.__all__) <= set(dir(diskmerge))
+        with pytest.raises(AttributeError):
+            diskmerge.no_such_name
+
+    def test_submodules_load_on_first_use(self):
+        src = str(Path(diskmerge.__file__).resolve().parents[1])
+        code = ("import sys, diskmerge\n"
+                "loaded = lambda: sorted(m for m in sys.modules\n"
+                "                        if m.startswith('diskmerge.'))\n"
+                "print(loaded())\n"
+                "diskmerge.solve_exact_rmcmd\n"
+                "print(loaded())\n")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.splitlines() == [
+            "[]", "['diskmerge.core', 'diskmerge.solvers']"]

@@ -1,6 +1,7 @@
 """Gadgets, the SAT reduction, and the transform-style reductions."""
 
 import hashlib
+import random
 from fractions import Fraction as F
 from itertools import product
 
@@ -237,6 +238,27 @@ class TestEqualizeRadii:
         eq = equalize_radii(inst, F(1))
         assert solve_exact_rmcmd(inst).cardinality == \
             solve_exact_rmcmd(eq.instance).cardinality
+
+    def test_strict_kept_relaxed_never_lowered(self):
+        # the property that does hold on dense bases (centres on a quarter
+        # grid, most pairs overlapping): the strict optimum is unchanged,
+        # and the relaxed one never drops, since the copies of a selected
+        # disk can all merge into one of them at distance 0
+        rng = random.Random(1500)
+        for _ in range(1000):
+            while True:
+                n = rng.randint(2, 4)
+                disks = [Disk(i + 1, Point(F(rng.randint(-2 * n, 2 * n), 4),
+                                           F(rng.randint(-2 * n, 2 * n), 4)),
+                              F(rng.choice((1, 2, 3)))) for i in range(n)]
+                if sum(d.radius for d in disks) <= 7:
+                    break
+            inst = Instance(disks)
+            eq = equalize_radii(inst, F(1)).instance
+            a, b = solve_exact_mcmd(inst), solve_exact_mcmd(eq)
+            assert (a.status, a.cardinality) == (b.status, b.cardinality)
+            a, b = solve_exact_rmcmd(inst), solve_exact_rmcmd(eq)
+            assert b.cardinality >= a.cardinality
 
     def test_relaxed_optimum_counterexample(self):
         # equalize_radii does not preserve the relaxed optimum: the two

@@ -8,10 +8,11 @@ import pytest
 from diskmerge.core import (Assignment, Disk, DisjointnessMode, Instance,
                             Point, verify_proper, verify_uproper)
 from diskmerge.fixtures import chain_merge_instance, relaxed_only_instance
-from diskmerge.solvers import (collinearity_check,
-                               enumerate_proper_assignments,
-                               iter_idempotent_maps, solve_collinear,
+from diskmerge.solvers import (FEASIBLE, INFEASIBLE, collinearity_check,
+                               enumerate_proper_assignments, solve_collinear,
                                solve_exact_mcmd, solve_exact_rmcmd)
+from diskmerge.transforms import (PartitionInput, equalize_radii,
+                                  reduce_partition)
 
 MAX = DisjointnessMode.MAX
 SUM = DisjointnessMode.SUM
@@ -31,6 +32,86 @@ def random_collinear(rng, n, tie_centres=False):
         Disk(i + 1, Point(F(x), F(0)),
              F(rng.randint(1, 8), rng.randint(1, 4)))
         for i, x in enumerate(xs)])
+
+
+def iter_idempotent_maps(n):
+    """Yield every idempotent self-map of ``{1..n}`` as a target tuple.
+
+    The independent reference for the oracles: it knows nothing of reach,
+    prefixes or disjointness."""
+    if n == 0:
+        yield ()
+        return
+    for mask in range(1, 1 << n):
+        selected = [i + 1 for i in range(n) if mask >> i & 1]
+        others = [i for i in range(1, n + 1) if not mask >> (i - 1) & 1]
+        target = [0] * n
+        for s in selected:
+            target[s - 1] = s
+
+        def rec(idx):
+            if idx == len(others):
+                yield tuple(target)
+                return
+            j = others[idx]
+            for s in selected:
+                target[j - 1] = s
+                yield from rec(idx + 1)
+        yield from rec(0)
+
+
+def reference_rmcmd(inst, mode):
+    """Relaxed optimum by brute force: every idempotent map through
+    ``verify_uproper``; most selected disks first, then the smallest
+    target tuple.  Returns ``(cardinality, target)`` or ``None``."""
+    best = None
+    for target in iter_idempotent_maps(inst.n):
+        if verify_uproper(inst, Assignment(target), mode).ok:
+            key = (-len(set(target)), target)
+            if best is None or key < best:
+                best = key
+    return None if best is None else (-best[0], best[1])
+
+
+def oracle_corpus():
+    """Seeded instances of up to 6 disks, plus pinned ones.  Integer
+    centres and radii make exact tangencies (a member exactly at the
+    reach bound) and shared centres common."""
+    rng = random.Random(606)
+    cases = []
+    for k in range(64):
+        n = rng.randint(1, 6)
+        kind = ("tangent", "shared", "collinear", "dense")[k % 4]
+        if kind == "tangent":
+            rows = [(rng.randint(-3, 3), rng.randint(-3, 3),
+                     rng.randint(1, 3)) for _ in range(n)]
+        elif kind == "shared":
+            centres = [(rng.randint(-3, 3), rng.randint(-3, 3))
+                       for _ in range(max(1, n // 2))]
+            rows = [rng.choice(centres) + (F(rng.randint(1, 4), 2),)
+                    for _ in range(n)]
+        elif kind == "collinear":
+            cases.append((f"collinear{k}",
+                          random_collinear(rng, n, tie_centres=True)))
+            continue
+        else:
+            rows = [(F(rng.randint(-2 * n, 2 * n), 4),
+                     F(rng.randint(-2 * n, 2 * n), 4),
+                     F(rng.randint(2, 8), 4)) for _ in range(n)]
+        cases.append((f"{kind}{k}", mk(*rows)))
+    for values, e in (((1, 1), F(1, 2)), ((1, 2), F(1, 3)),
+                      ((1, 2), F(1, 2))):
+        cases.append((f"partition{values}@{e}", reduce_partition(
+            PartitionInput(tuple(F(v) for v in values), e))))
+    # the pinned equalize counterexample (tests/test_reductions.py)
+    base = mk((F(3, 4), F(-1, 2), 1), (F(1, 2), F(1, 4), 1),
+              (F(-3, 4), F(-1, 2), 2), (F(-7, 4), F(-7, 4), 2))
+    cases.append(("equalize-base", base))
+    cases.append(("equalized", equalize_radii(base, F(1)).instance))
+    return cases
+
+
+ORACLE_CORPUS = oracle_corpus()
 
 
 class TestIdempotentMaps:
@@ -84,6 +165,26 @@ class TestOracles:
             if strict.feasible:
                 assert relaxed.feasible
                 assert relaxed.cardinality >= strict.cardinality
+
+
+class TestRelaxedOracle:
+    @pytest.mark.parametrize("mode", [MAX, SUM])
+    def test_matches_brute_force(self, mode):
+        # status, optimum and the lexicographically smallest optimal target
+        for name, inst in ORACLE_CORPUS:
+            expected = reference_rmcmd(inst, mode)
+            result = solve_exact_rmcmd(inst, mode)
+            if expected is None:
+                assert (result.status, result.cardinality,
+                        result.assignment) == (INFEASIBLE, 0, None), name
+            else:
+                assert (result.status, result.cardinality,
+                        result.assignment.target) == \
+                    (FEASIBLE,) + expected, name
+
+    def test_counts_search_nodes(self):
+        # an isolated disk: the root, then the leaf that selects it
+        assert solve_exact_rmcmd(mk((0, 0, 1))).stats == {"checked": 2}
 
 
 class TestCollinearityCheck:
