@@ -96,7 +96,7 @@ class TestReduceCommands:
         out = str(paths / "out.json")
         assert run(["reduce", "partition", "--values", "1,1",
                     "--e", "1/2", "-o", out]) == 0
-        inst = parse_instance(open(out).read())
+        inst = parse_instance(Path(out).read_text(encoding="utf-8"))
         assert inst.n == 6
         assert inst.radius(1) == 4  # 2s with s = 2
 
@@ -109,7 +109,7 @@ class TestReduceCommands:
         rr = write(paths / "r.json", serialize_rep(rep))
         out = str(paths / "out.json")
         assert run(["reduce", "sat", ff, rr, "-o", out]) == 0
-        assert parse_instance(open(out).read()).n > 0
+        assert parse_instance(Path(out).read_text(encoding="utf-8")).n > 0
 
 
 class TestOtherCommands:
@@ -119,7 +119,7 @@ class TestOtherCommands:
         inp = write(paths / "in.json", doc)
         out = str(paths / "out.json")
         assert run(["equalize", "--r", "1", inp, "-o", out]) == 0
-        inst = parse_instance(open(out).read())
+        inst = parse_instance(Path(out).read_text(encoding="utf-8"))
         assert inst.n == 2 and all(d.radius == 1 for d in inst.disks)
 
     def test_equalize_non_multiple_fails(self, paths):
@@ -133,13 +133,13 @@ class TestOtherCommands:
                     serialize_instance(generate_random(3, "collinear", 2)))
         out = str(paths / "out.svg")
         assert run(["render", inp, "-o", out]) == 0
-        assert open(out).read().count("<circle") == 3
+        assert Path(out).read_text(encoding="utf-8").count("<circle") == 3
 
     def test_gen_round_trips(self, paths, capsys):
         out = str(paths / "gen.json")
         assert run(["gen", "--n", "4", "--profile", "planar",
                     "--seed", "9", "-o", out]) == 0
-        assert parse_instance(open(out).read()).n == 4
+        assert parse_instance(Path(out).read_text(encoding="utf-8")).n == 4
 
     def test_usage_errors_exit_one(self):
         assert run([]) == 1

@@ -4,11 +4,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diskmerge.core import (Assignment, Disk, DisjointnessMode, Instance,
-                            Point, verify_proper, verify_uproper)
+                            Point, centre_disjoint, verify_proper,
+                            verify_uproper)
 from diskmerge.fixtures import chain_merge_instance, relaxed_only_instance
-from diskmerge.solvers import (FEASIBLE, INFEASIBLE, collinearity_check,
+from diskmerge.solvers import (FEASIBLE, INFEASIBLE, MergeWindow,
+                               collinearity_check,
                                enumerate_proper_assignments, solve_collinear,
                                solve_exact_mcmd, solve_exact_rmcmd)
 from diskmerge.transforms import (PartitionInput, equalize_radii,
@@ -112,6 +115,134 @@ def oracle_corpus():
 
 
 ORACLE_CORPUS = oracle_corpus()
+
+
+def reference_collinear(instance, mode):
+    """The collinear DP with a full-scan transition: every window
+    ``(t, k)`` with ``t < w.A`` is examined as a predecessor of ``w``, and
+    each prefix walks its ``A``/``B`` containment out from the disk.  The
+    reference for the indexed DP of ``solve_collinear``.  Returns
+    ``(status, cardinality, target, entries, transitions)``."""
+    order = collinearity_check(instance)
+    n = instance.n
+    pos_of = {disk_id: p for p, disk_id in enumerate(order, start=1)}
+    id_at = {p: disk_id for p, disk_id in enumerate(order, start=1)}
+    aggs = [()] + [instance._reach(id_at[p]) for p in range(1, n + 1)]
+    windows = [[]]
+    for p in range(1, n + 1):
+        i = id_at[p]
+        seq = instance.neighbor_sequence(i)
+        wrow = []
+        lo = hi = p
+        for j, reach in enumerate(aggs[p]):
+            if j:
+                q = pos_of[seq[j - 1]]
+                lo, hi = min(lo, q), max(hi, q)
+            if hi - lo == j:
+                A, B = p, p
+                r2 = reach * reach
+                while A > 1 and instance._d2(i, id_at[A - 1]) < r2:
+                    A -= 1
+                while B < n and instance._d2(i, id_at[B + 1]) < r2:
+                    B += 1
+                wrow.append(MergeWindow(lo, hi, A, B))
+            else:
+                wrow.append(None)
+        windows.append(wrow)
+
+    value, pred, transitions = {}, {}, 0
+    for y in range(1, n + 1):
+        for j, w in enumerate(windows[y]):
+            if w is None:
+                continue
+            key = (w.b, y, w.B, j)
+            if w.a == 1:
+                value[key], pred[key] = 1, None
+                continue
+            for t in range(1, w.A):
+                for k, wt in enumerate(windows[t]):
+                    transitions += 1
+                    if wt is None or wt.b != w.a - 1 or wt.B >= y:
+                        continue
+                    if mode is SUM and not centre_disjoint(
+                            instance._d2(id_at[t], id_at[y]),
+                            aggs[t][k], aggs[y][j], mode):
+                        continue
+                    pkey = (w.a - 1, t, wt.B, k)
+                    prev = value.get(pkey)
+                    if prev is not None and prev + 1 > value.get(key, 0):
+                        value[key], pred[key] = prev + 1, pkey
+
+    best_key, best_val = None, 0
+    for (x, y, z, j), v in value.items():
+        if x == n and z == n and v > best_val:
+            best_val, best_key = v, (x, y, z, j)
+    if best_key is None:
+        return INFEASIBLE, 0, None, len(value), transitions
+    target = [0] * (n + 1)
+    key = best_key
+    while key is not None:
+        _, y, _, j = key
+        i = id_at[y]
+        target[i] = i
+        for nb in instance.neighbor_sequence(i)[:j]:
+            target[nb] = i
+        key = pred[key]
+    return FEASIBLE, best_val, tuple(target[1:]), len(value), transitions
+
+
+def dense_line(n):
+    """Unit spacing, all radii 3/2: every disk reaches both neighbours."""
+    return mk(*[(i, 0, F(3, 2)) for i in range(n)])
+
+
+def dp_corpus():
+    """Seeded collinear lines for the DP reference: criterion-8 sparse
+    lines, dense unit lines, lines with coincident centres and a line of
+    direction (2, 3) through shared centres."""
+    rng = random.Random(707)
+    cases = []
+    for n in (1, 2, 5, 10, 20, 30, 40):
+        for _ in range(3 if n < 30 else 1):
+            xs = rng.sample(range(-4 * n, 4 * n + 1), n)
+            cases.append((f"sparse{n}", mk(*[
+                (x, 0, F(rng.randint(2, 10), 2)) for x in xs])))
+    for n in (1, 2, 3, 5, 10, 20, 30):
+        cases.append((f"dense{n}", dense_line(n)))
+    for k in range(40):
+        n = rng.randint(2, 12)
+        cases.append((f"coincident{k}",
+                      random_collinear(rng, n, tie_centres=True)))
+    for k in range(20):
+        n = rng.randint(2, 12)
+        steps = [rng.randint(-3, 3) for _ in range(rng.randint(1, n - 1))]
+        steps += [rng.choice(steps) for _ in range(n - len(steps))]
+        cases.append((f"sloped{k}", mk(*[
+            (2 * s + F(1, 3), 3 * s - F(1, 2), F(rng.randint(1, 12), 2))
+            for s in steps])))
+    return cases
+
+
+DP_CORPUS = dp_corpus()
+
+
+@st.composite
+def shared_centre_lines(draw):
+    """2 to 7 disks on an axis-aligned or sloped line; at least two share
+    a centre."""
+    n = draw(st.integers(2, 7))
+    dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (2, 3), (1, -2)]))
+    ox, oy = draw(st.sampled_from([(0, 0), (F(1, 3), F(-1, 2))]))
+    steps = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=n - 1,
+                          unique=True))
+    steps += draw(st.lists(st.sampled_from(steps), min_size=n - len(steps),
+                           max_size=n - len(steps)))
+    steps = draw(st.permutations(steps))
+    radii = draw(st.lists(st.builds(F, st.integers(1, 12),
+                                    st.sampled_from([1, 2, 4])),
+                          min_size=n, max_size=n))
+    return mk(*[(ox + dx * s, oy + dy * s, r)
+                for s, r in zip(steps, radii)])
 
 
 class TestIdempotentMaps:
@@ -231,6 +362,39 @@ class TestSolveCollinear:
             if dp.assignment is not None:
                 assert verify_proper(inst, dp.assignment, mode).ok
 
+    @pytest.mark.parametrize("mode", [MAX, SUM])
+    def test_matches_full_scan_reference(self, mode):
+        # same optimum, assignment and table as the full scan, and no
+        # more predecessors examined
+        for name, inst in DP_CORPUS:
+            status, card, target, entries, transitions = \
+                reference_collinear(inst, mode)
+            result = solve_collinear(inst, mode)
+            got = result.assignment.target if result.feasible else None
+            assert (result.status, result.cardinality, got,
+                    result.stats["entries"]) == \
+                (status, card, target, entries), name
+            assert result.stats["transitions"] <= transitions, name
+
+    @settings(max_examples=150, deadline=None)
+    @given(shared_centre_lines())
+    def test_equals_oracle_on_shared_centres(self, inst):
+        for mode in (MAX, SUM):
+            dp = solve_collinear(inst, mode)
+            oracle = solve_exact_mcmd(inst, mode)
+            assert (dp.status, dp.cardinality) == \
+                (oracle.status, oracle.cardinality)
+            if dp.feasible:
+                assert verify_proper(inst, dp.assignment, mode).ok
+
     def test_reports_transition_counter(self):
-        result = solve_collinear(mk((0, 0, 1), (10, 0, 1)))
-        assert result.stats["transitions"] >= 0
+        # transitions counts bucket entries examined; the full scan
+        # examines 930 and 16,380 windows on these lines
+        for n, mode, transitions, entries in (
+                (10, MAX, 116, 45), (10, SUM, 116, 39),
+                (20, MAX, 1052, 148), (20, SUM, 1052, 129)):
+            inst = dense_line(n)
+            stats = solve_collinear(inst, mode).stats
+            assert (stats["transitions"], stats["entries"]) == \
+                (transitions, entries)
+            assert stats["transitions"] < reference_collinear(inst, mode)[4]
