@@ -142,9 +142,6 @@ class Instance:
         self._neighbors: dict[int, tuple[int, ...]] = {}
         self._reaches: dict[int, tuple[int, ...]] = {}
 
-    def disk(self, i: int) -> Disk:
-        return self.disks[i - 1]
-
     def radius(self, i: int) -> Fraction:
         return self.disks[i - 1].radius
 
@@ -225,16 +222,8 @@ class Assignment:
     def __call__(self, i: int) -> int:
         return self.target[i - 1]
 
-    def is_selected(self, i: int) -> bool:
-        return self.target[i - 1] == i
-
     def selected(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.n + 1) if self.target[i - 1] == i)
-
-    def merged_into(self, i: int) -> tuple[int, ...]:
-        return tuple(
-            j for j in range(1, self.n + 1) if j != i and self.target[j - 1] == i
-        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Assignment) and self.target == other.target
@@ -258,6 +247,19 @@ def aggregate_radius(instance: Instance, assignment: Assignment, i: int) -> Frac
         (instance.radius(j) for j in range(1, instance.n + 1) if assignment(j) == i),
         Fraction(0),
     )
+
+
+def _merge_groups(instance: Instance, assignment: Assignment,
+                  ) -> dict[int, tuple[tuple[int, ...], int]]:
+    """Map each selected disk, ascending, to its members (the other disks
+    merged into it, ascending) and its aggregate radius in units of
+    ``1/L``, from one pass over an idempotent ``assignment``."""
+    groups: dict[int, list[int]] = {}
+    for j, t in enumerate(assignment.target, start=1):
+        groups.setdefault(t, []).append(j)
+    r = instance._r
+    return {t: (tuple(j for j in group if j != t), sum(r[j] for j in group))
+            for t, group in sorted(groups.items())}
 
 
 def _relaxed_walk(instance: Instance, i: int, members: Iterable[int],
@@ -301,17 +303,15 @@ def _check_shape(instance: Instance, assignment: Assignment,
     return ok
 
 
-def _check_disjoint(instance: Instance, assignment: Assignment,
+def _check_disjoint(instance: Instance,
+                    groups: dict[int, tuple[tuple[int, ...], int]],
                     mode: DisjointnessMode, violations: list[str]) -> None:
-    selected = assignment.selected()
-    agg = dict.fromkeys(selected, 0)
-    for j, t in enumerate(assignment.target, start=1):
-        agg[t] += instance._r[j]
+    selected = list(groups)
     for a in range(len(selected)):
         for b in range(a + 1, len(selected)):
             i, j = selected[a], selected[b]
-            if not centre_disjoint(instance._d2(i, j), agg[i], agg[j],
-                                   mode):
+            if not centre_disjoint(instance._d2(i, j), groups[i][1],
+                                   groups[j][1], mode):
                 violations.append(
                     f"selected disks {i} and {j} are not centre-disjoint "
                     f"({mode.value} rule)"
@@ -332,10 +332,10 @@ def verify_proper(instance: Instance, assignment: Assignment,
     if not _check_shape(instance, assignment, violations):
         return VerificationReport(False, 0, violations)
 
-    for i in assignment.selected():
-        members = set(assignment.merged_into(i))
+    groups = _merge_groups(instance, assignment)
+    for i, (members, _) in groups.items():
         seq = instance.neighbor_sequence(i)
-        if set(seq[: len(members)]) != members:
+        if set(seq[: len(members)]) != set(members):
             violations.append(
                 f"disks merged into {i} are not a neighbour-sequence prefix"
             )
@@ -345,9 +345,8 @@ def verify_proper(instance: Instance, assignment: Assignment,
             violations.append(f"disk {seq[feasible - 1]} is out of reach "
                               f"of disk {i} when merged")
 
-    _check_disjoint(instance, assignment, mode, violations)
-    ok = not violations
-    return VerificationReport(ok, cardinality(assignment), violations)
+    _check_disjoint(instance, groups, mode, violations)
+    return VerificationReport(not violations, len(groups), violations)
 
 
 def verify_uproper(instance: Instance, assignment: Assignment,
@@ -364,13 +363,13 @@ def verify_uproper(instance: Instance, assignment: Assignment,
     if not _check_shape(instance, assignment, violations):
         return VerificationReport(False, 0, violations)
 
-    for i in assignment.selected():
-        _, out = _relaxed_walk(instance, i, assignment.merged_into(i))
+    groups = _merge_groups(instance, assignment)
+    for i, (members, _) in groups.items():
+        _, out = _relaxed_walk(instance, i, members)
         if out is not None:
             violations.append(
                 f"disk {out} is out of reach of disk {i} when merged (relaxed)"
             )
 
-    _check_disjoint(instance, assignment, mode, violations)
-    ok = not violations
-    return VerificationReport(ok, cardinality(assignment), violations)
+    _check_disjoint(instance, groups, mode, violations)
+    return VerificationReport(not violations, len(groups), violations)

@@ -124,18 +124,6 @@ class Gadget:
     ports: tuple[tuple[str, Point], ...]
     role: str = ""
 
-    def port(self, name: str) -> Point:
-        for n, p in self.ports:
-            if n == name:
-                return p
-        raise KeyError(name)
-
-    def sdisk_center(self, name: str) -> Point:
-        for n, p, _ in self.sdisks:
-            if n == name:
-                return p
-        raise KeyError(name)
-
 
 def build_gadget(kind: GadgetKind, pose: Pose,
                  drop_ports: Iterable[str] = (),

@@ -1,27 +1,20 @@
 """Exact solvers: exhaustive oracles and the collinear dynamic program.
 
-Three engines live here:
+Two engines live here:
 
-* :func:`solve_exact_mcmd` -- optimal solver for the strict rules on tiny
-  instances.  It enumerates selected sets and neighbour-prefix choices,
-  which covers every assignment the strict verifier can accept (merged
-  sets are always neighbour-sequence prefixes), and breaks ties towards
-  the lexicographically smallest target map.
-* :func:`solve_exact_rmcmd` -- optimal solver for the relaxed rules by
-  depth-first branch and bound.  It resolves disks in id order and tries
-  targets in ascending id, so leaves come out in lexicographic order of
-  the target tuple; it prunes only subtrees that hold no accepted map
-  (reach bound, disjointness of partial aggregates) or no map better
-  than the best found (selected + undecided at most the best
-  cardinality).  The first optimum found is therefore the
-  lexicographically smallest one, the same tie-break as the strict
-  oracle.
+* :func:`_search` -- one exact depth-first search over assignments for
+  tiny instances, under the strict or the relaxed rule.  It resolves
+  disks in id order and tries their targets in ascending id, so leaves
+  come out in lexicographic order of the target tuple, and it prunes
+  only subtrees that hold no accepted assignment (reach, disjointness of
+  partial aggregates) or, when optimising the relaxed rule, none better
+  than the best found.  Three thin wrappers sit on it:
+  :func:`enumerate_proper_assignments` yields every strictly accepted
+  assignment, and :func:`solve_exact_mcmd` / :func:`solve_exact_rmcmd`
+  return the optimum under the strict / relaxed rule, ties broken
+  towards the lexicographically smallest target tuple.
 * :func:`solve_collinear` -- polynomial dynamic program for instances
   whose centres are collinear, with full solution reconstruction.
-
-:func:`enumerate_proper_assignments` exposes the strict-rules search as a
-generator; the reduction tests use it to enumerate all accepted
-assignments of gadget instances.
 """
 
 from __future__ import annotations
@@ -34,7 +27,6 @@ from .core import (
     DisjointnessMode,
     Instance,
     _relaxed_walk,
-    cardinality,
     centre_disjoint,
     verify_proper,
 )
@@ -70,111 +62,6 @@ class MergeWindow:
     B: int
 
 
-def enumerate_proper_assignments(
-    instance: Instance,
-    mode: DisjointnessMode = DisjointnessMode.MAX,
-) -> Iterator[Assignment]:
-    """Yield every assignment accepted by the strict verifier.
-
-    Search strategy: any accepted assignment selects some set of disks and
-    merges a neighbour-sequence prefix into each of them, the prefixes
-    partitioning the remaining disks.  The search repeatedly resolves the
-    smallest undecided disk, either selecting it or selecting the disk
-    whose prefix will absorb it, so each accepted assignment is produced
-    exactly once.
-    """
-    n = instance.n
-    if n == 0:
-        yield Assignment(())
-        return
-    reach = [()] + [instance._reach(i) for i in range(1, n + 1)]
-    seqs = [()] + [instance.neighbor_sequence(i) for i in range(1, n + 1)]
-
-    target: list[int] = [0] * (n + 1)  # 0 = undecided
-    committed: list[int] = []          # selected disks, in commit order
-    agg: dict[int, int] = {}           # scaled aggregate radii
-
-    def commit_ok(i: int, j: int) -> bool:
-        """Can disk ``i`` be selected with prefix length ``j`` right now?"""
-        if target[i]:
-            return False
-        if j >= len(reach[i]):
-            return False
-        if any(target[p] for p in seqs[i][:j]):
-            return False
-        return all(centre_disjoint(instance._d2(i, s), agg[s], reach[i][j],
-                                   mode) for s in committed)
-
-    def apply(i: int, j: int) -> None:
-        target[i] = i
-        for p in seqs[i][:j]:
-            target[p] = i
-        committed.append(i)
-        agg[i] = reach[i][j]
-
-    def undo(i: int, j: int) -> None:
-        target[i] = 0
-        for p in seqs[i][:j]:
-            target[p] = 0
-        committed.pop()
-        del agg[i]
-
-    def rec(start: int):
-        i = start
-        while i <= n and target[i]:
-            i += 1
-        if i > n:
-            yield Assignment(tuple(target[1:]))
-            return
-        # i selected with any feasible prefix …
-        for j in range(0, len(reach[i])):
-            if commit_ok(i, j):
-                apply(i, j)
-                yield from rec(i + 1)
-                undo(i, j)
-        # … or absorbed by some other disk t whose prefix covers i.
-        for t in range(1, n + 1):
-            if t == i or target[t]:
-                continue
-            for j in range(seqs[t].index(i) + 1, len(reach[t])):
-                if commit_ok(t, j):
-                    apply(t, j)
-                    yield from rec(i + 1)
-                    undo(t, j)
-
-    yield from rec(1)
-
-
-def solve_exact_mcmd(
-    instance: Instance,
-    mode: DisjointnessMode = DisjointnessMode.MAX,
-    max_n: int = 9,
-) -> SolveResult:
-    """Optimal strict-rules solver by exhaustive search (tiny instances).
-
-    Returns the maximum-cardinality accepted assignment, ties broken by the
-    lexicographically smallest target tuple.  ``INFEASIBLE`` when no
-    assignment is accepted.
-    """
-    n = instance.n
-    if n > max_n:
-        raise ValueError(f"instance size {n} exceeds oracle limit {max_n}")
-    if n == 0:
-        return SolveResult(FEASIBLE, 0, Assignment(()))
-    best: Optional[tuple[int, tuple[int, ...]]] = None
-    count = 0
-    for assignment in enumerate_proper_assignments(instance, mode):
-        count += 1
-        card = cardinality(assignment)
-        key = (-card, assignment.target)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        return SolveResult(INFEASIBLE, 0, None, {"accepted": 0})
-    card = -best[0]
-    return SolveResult(FEASIBLE, card, Assignment(best[1]), {"accepted": count})
-
-
 def _relaxed_reach_bounds(instance: Instance) -> list[int]:
     """Upper bound ``U_t`` on the aggregate radius of each disk ``t`` under
     the relaxed rule, in units of ``1/L`` (index 0 unused).
@@ -199,6 +86,150 @@ def _relaxed_reach_bounds(instance: Instance) -> list[int]:
     return bounds
 
 
+def _search(instance: Instance, mode: DisjointnessMode, relaxed: bool,
+            stats: dict) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Depth-first search over assignments; yields ``(cardinality,
+    target)`` for every accepted leaf, in lexicographic order of the
+    target tuple.
+
+    The search resolves the smallest undecided disk ``i`` and tries its
+    candidate targets ``t`` in ascending id: ``i`` itself (select it), or
+    a disk that is, or becomes, selected and can reach ``i``.  Under the
+    strict rule ``t`` can reach ``i`` when ``i`` lies in a feasible prefix
+    of ``t``'s neighbour sequence, and attaching ``i`` merges the rest of
+    that prefix through ``i``, all of which must still be undecided.
+    Under the relaxed rule ``t`` can reach ``i`` when ``_d2(t, i) <=
+    U_t**2`` (:func:`_relaxed_reach_bounds`), and attaching merges ``i``
+    alone.  Each leaf's target tuple fixes every branch taken, so no
+    assignment is reached twice.
+
+    Aggregates only grow as members are added, so a
+    :func:`centre_disjoint` failure on partial aggregates is final; every
+    pair is checked after its last growth, so a strict leaf is accepted
+    as is.  ``_relaxed_walk`` is not monotone in its members, so relaxed
+    leaves are walked.  The relaxed search is an optimiser: it cuts a
+    subtree whose ``selected + undecided`` is at most the best cardinality
+    found, so each leaf it yields beats the one before.
+    ``stats["checked"]`` counts search nodes once the search is done.
+    """
+    n, r = instance.n, instance._r
+    d2 = [[0] * (n + 1)] + [[0] + [instance._d2(i, j)
+                                   for j in range(1, n + 1)]
+                            for i in range(1, n + 1)]
+    # candidate targets of each disk as (t, k), ascending in t; strict: k
+    # is the length of t's prefix through i (0 when t == i)
+    if relaxed:
+        bounds = _relaxed_reach_bounds(instance)
+        cands = [()] + [tuple((t, 0) for t in range(1, n + 1)
+                              if t == i or d2[t][i] <= bounds[t] ** 2)
+                        for i in range(1, n + 1)]
+    else:
+        reach = [()] + [instance._reach(t) for t in range(1, n + 1)]
+        seqs = [()] + [instance.neighbor_sequence(t)
+                       for t in range(1, n + 1)]
+        covers: list[list[tuple[int, int]]] = [[(i, 0)]
+                                               for i in range(n + 1)]
+        for t in range(1, n + 1):
+            for k in range(1, len(reach[t])):
+                covers[seqs[t][k - 1]].append((t, k))
+        cands = [tuple(sorted(c)) for c in covers]
+    target = [0] * (n + 1)              # 0 = undecided
+    agg = [0] * (n + 1)                 # partial aggregates of selected disks
+    members: list[list[int]] = [[] for _ in range(n + 1)]
+    selected: list[int] = []
+    best_card = 0
+    checked = 0
+
+    def rec(i: int, undecided: int):
+        nonlocal best_card, checked
+        checked += 1
+        if relaxed and len(selected) + undecided <= best_card:
+            return
+        while i <= n and target[i]:
+            i += 1
+        if i > n:
+            if not relaxed or all(
+                    _relaxed_walk(instance, t, members[t])[1] is None
+                    for t in selected if members[t]):
+                best_card = len(selected)
+                yield best_card, tuple(target[1:])
+            return
+        for t, k in cands[i]:
+            fresh = not target[t]      # t == i, or t > i: t gets selected
+            if not fresh and target[t] != t:
+                continue               # t is already merged elsewhere
+            if t == i:
+                new, grown = (), r[i]
+            elif relaxed:
+                new, grown = (i,), (r[t] if fresh else agg[t]) + r[i]
+            else:
+                new, grown = seqs[t][len(members[t]):k], reach[t][k]
+                if any(target[j] for j in new):
+                    continue
+            if not all(s == t or centre_disjoint(d2[t][s], grown, agg[s],
+                                                 mode) for s in selected):
+                continue
+            previous = agg[t]
+            target[t] = t
+            for j in new:
+                target[j] = t
+            members[t].extend(new)
+            agg[t] = grown
+            if fresh:
+                selected.append(t)
+            yield from rec(i + 1, undecided - len(new) - fresh)
+            if fresh:
+                selected.pop()
+                target[t] = 0
+            agg[t] = previous
+            del members[t][len(members[t]) - len(new):]
+            for j in new:
+                target[j] = 0
+
+    yield from rec(1, n)
+    stats["checked"] = checked
+
+
+def enumerate_proper_assignments(
+    instance: Instance,
+    mode: DisjointnessMode = DisjointnessMode.MAX,
+) -> Iterator[Assignment]:
+    """Yield every assignment accepted by the strict verifier, once each,
+    in ascending order of the target tuple (see :func:`_search`)."""
+    for _, target in _search(instance, mode, False, {}):
+        yield Assignment(target)
+
+
+def solve_exact_mcmd(
+    instance: Instance,
+    mode: DisjointnessMode = DisjointnessMode.MAX,
+    max_n: int = 9,
+) -> SolveResult:
+    """Optimal strict-rules solver by exhaustive search (tiny instances).
+
+    Returns the maximum-cardinality accepted assignment, ties broken by the
+    lexicographically smallest target tuple: the first leaf of maximum
+    cardinality that :func:`_search` yields.  ``INFEASIBLE`` when no
+    assignment is accepted.  ``stats["accepted"]`` counts the accepted
+    assignments.
+    """
+    n = instance.n
+    if n > max_n:
+        raise ValueError(f"instance size {n} exceeds oracle limit {max_n}")
+    if n == 0:
+        return SolveResult(FEASIBLE, 0, Assignment(()))
+    best: Optional[tuple[int, ...]] = None
+    best_card = count = 0
+    for card, target in _search(instance, mode, False, {}):
+        count += 1
+        if card > best_card:
+            best_card, best = card, target
+    if best is None:
+        return SolveResult(INFEASIBLE, 0, None, {"accepted": 0})
+    return SolveResult(FEASIBLE, best_card, Assignment(best),
+                       {"accepted": count})
+
+
 def solve_exact_rmcmd(
     instance: Instance,
     mode: DisjointnessMode = DisjointnessMode.MAX,
@@ -206,86 +237,24 @@ def solve_exact_rmcmd(
 ) -> SolveResult:
     """Optimal relaxed-rules solver by exact branch and bound.
 
-    The search resolves the undecided disks in id order and tries their
-    targets in ascending id: the disk itself (select it), or a disk ``t``
-    that is, or becomes, selected.  Leaves therefore come out in
-    lexicographic order of the target tuple.  Three prunes are exact:
-
-    * reach -- ``i`` may merge into ``t`` only if ``_d2(t, i) <= U_t**2``
-      (:func:`_relaxed_reach_bounds`);
-    * disjointness -- aggregates only grow as members are added, so a
-      :func:`centre_disjoint` failure on partial aggregates is final;
-    * cardinality -- a subtree whose ``selected + undecided`` is at most
-      the best cardinality found is cut.  Every leaf found later is
-      lexicographically larger, so cutting ties keeps the tie-break.
-
-    ``_relaxed_walk`` is not monotone as members are added, so each
-    member set is walked only at a leaf.  Returns the maximum-cardinality
-    accepted assignment, ties broken by the lexicographically smallest
-    target tuple, or ``INFEASIBLE``.  ``stats["checked"]`` counts search
-    nodes.
+    Each leaf the relaxed :func:`_search` yields beats the one before, and
+    its cardinality cut keeps ties out, so the last leaf is the
+    maximum-cardinality accepted assignment with the lexicographically
+    smallest target tuple.  ``INFEASIBLE`` when no assignment is accepted.
+    ``stats["checked"]`` counts search nodes.
     """
     n = instance.n
     if n > max_n:
         raise ValueError(f"instance size {n} exceeds oracle limit {max_n}")
     if n == 0:
         return SolveResult(FEASIBLE, 0, Assignment(()))
-    bounds = _relaxed_reach_bounds(instance)
-    d2 = [[0] * (n + 1)] + [[0] + [instance._d2(i, j)
-                                   for j in range(1, n + 1)]
-                            for i in range(1, n + 1)]
-    # candidate targets of each disk, ascending: itself or any t in reach
-    cands = [()] + [tuple(t for t in range(1, n + 1)
-                          if t == i or d2[t][i] <= bounds[t] * bounds[t])
-                    for i in range(1, n + 1)]
-    r = instance._r
-    target = [0] * (n + 1)              # 0 = undecided
-    agg = [0] * (n + 1)                 # partial aggregates of selected disks
-    members: list[list[int]] = [[] for _ in range(n + 1)]
-    selected: list[int] = []
-    best_card = 0
-    best: Optional[tuple[int, ...]] = None
-    checked = 0
-
-    def rec(i: int, undecided: int) -> None:
-        nonlocal best_card, best, checked
-        checked += 1
-        if len(selected) + undecided <= best_card:
-            return
-        while i <= n and target[i]:
-            i += 1
-        if i > n:
-            if all(_relaxed_walk(instance, t, members[t])[1] is None
-                   for t in selected if members[t]):
-                best_card, best = len(selected), tuple(target[1:])
-            return
-        for t in cands[i]:
-            fresh = not target[t]      # t == i, or t > i: t gets selected
-            if not fresh and target[t] != t:
-                continue               # t is already merged elsewhere
-            target[i] = target[t] = t
-            if fresh:
-                agg[t] = r[t]
-                selected.append(t)
-            if t != i:
-                agg[t] += r[i]
-                members[t].append(i)
-            if all(s == t or centre_disjoint(d2[t][s], agg[t], agg[s], mode)
-                   for s in selected):
-                rec(i + 1, undecided - (2 if fresh and t != i else 1))
-            if t != i:
-                agg[t] -= r[i]
-                members[t].pop()
-            if fresh:
-                selected.pop()
-                target[t] = 0
-            target[i] = 0
-
-    rec(1, n)
+    stats: dict = {}
+    best: Optional[tuple[int, tuple[int, ...]]] = None
+    for best in _search(instance, mode, True, stats):
+        pass
     if best is None:
-        return SolveResult(INFEASIBLE, 0, None, {"checked": checked})
-    return SolveResult(FEASIBLE, best_card, Assignment(best),
-                       {"checked": checked})
+        return SolveResult(INFEASIBLE, 0, None, stats)
+    return SolveResult(FEASIBLE, best[0], Assignment(best[1]), stats)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (Assignment, DisjointnessMode, FormatError, Instance,
-                   verify_uproper)
+                   _merge_groups, verify_uproper)
 
 _MARGIN = Fraction(1)
 _DECIMALS = 4
@@ -46,10 +46,8 @@ def render_svg(instance: Instance,
         if not report.ok:
             raise FormatError(
                 f"assignment fails verification: {report.violations[0]}")
-        totals = dict.fromkeys(assignment.selected(), 0)
-        for j, t in enumerate(assignment.target, start=1):
-            totals[t] += instance._r[j]
-        aggs = {i: Fraction(a, instance._scale) for i, a in totals.items()}
+        aggs = {i: Fraction(a, instance._scale) for i, (_, a)
+                in _merge_groups(instance, assignment).items()}
 
     s = opts.scale
     if instance.n == 0:

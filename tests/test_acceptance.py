@@ -19,7 +19,8 @@ from diskmerge.core import (Assignment, Disk, DisjointnessMode, Instance,
                             Point, verify_proper, verify_uproper)
 from diskmerge.fixtures import (FORMULA_FIXTURES, chain_merge_instance,
                                 relaxed_only_instance)
-from diskmerge.formula import grid_embed, grid_size
+from diskmerge.formula import (Clause, MonotoneFormula, Polarity,
+                               RectilinearRep, grid_embed, grid_size)
 from diskmerge.gadgets import GadgetKind, Pose, build_gadget
 from diskmerge.reduction import (ReductionError, assemble,
                                  build_assignment_from_sat,
@@ -152,6 +153,54 @@ def test_criterion_4_reduction_forward_soundness():
     report(4, ok, f"satisfying valuations map to accepted assignments and "
            f"round-trip on {len(FORMULA_FIXTURES)} fixtures "
            f"(slowest {slowest:.1f}s)")
+
+
+def _formula(num_variables, clauses, segments, rows, legs):
+    return (MonotoneFormula(num_variables, tuple(
+        Clause(polarity, literals) for polarity, literals in clauses)),
+        RectilinearRep(segments, rows, legs))
+
+
+POS, NEG = Polarity.POSITIVE, Polarity.NEGATIVE
+
+# two unsatisfiable formulas and one with a single satisfying valuation
+HAND_BUILT_FORMULAS = {
+    "x1_above_x1_below": lambda: _formula(
+        1, [(POS, (1,)), (NEG, (1,))], ((0, 5),), (1, -1), ((1,), (3,))),
+    "x1x2_above_x1_x2_below": lambda: _formula(
+        2, [(POS, (1, 2)), (NEG, (1,)), (NEG, (2,))],
+        ((0, 5), (10, 15)), (1, -1, -1), ((1, 11), (3,), (13,))),
+    "x1x2_above_x1_below": lambda: _formula(
+        2, [(POS, (1, 2)), (NEG, (1,))],
+        ((0, 5), (10, 15)), (1, -1), ((1, 11), (3,))),
+}
+
+
+def test_criterion_4_reduction_converse_soundness():
+    # the other direction: every accepted assignment of a whole reduced
+    # instance decodes to a satisfying valuation, so an unsatisfiable
+    # formula has no accepted assignment at all
+    t0 = time.time()
+    ok = True
+    counts = {}
+    for name, fn in {**FORMULA_FIXTURES, **HAND_BUILT_FORMULAS}.items():
+        formula, rep = fn()
+        art = reduce_sat(formula, grid_embed(formula, rep))
+        accepted = list(enumerate_proper_assignments(art.instance))
+        decoded = {tuple(sorted(extract_sat_assignment(art, a).items()))
+                   for a in accepted}
+        satisfying = set()
+        for bits in product((0, 1), repeat=formula.num_variables):
+            val = {v + 1: bits[v] for v in range(formula.num_variables)}
+            if formula.is_satisfied(val):
+                satisfying.add(tuple(sorted(val.items())))
+        ok &= decoded == satisfying
+        counts[name] = (len(accepted), len(satisfying))
+    elapsed = time.time() - t0
+    report("4b", ok and elapsed < 30,
+           f"accepted assignments of whole reduced instances decode to "
+           f"exactly the satisfying valuations on {len(counts)} formulas "
+           f"(accepted, satisfying: {counts}; {elapsed:.1f}s)")
 
 
 def test_criterion_5_grid_bound():

@@ -12,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 import diskmerge
 from diskmerge.core import (Assignment, Disk, DisjointnessMode, FormatError,
-                            Instance, Point, _relaxed_walk, aggregate_radius,
-                            cardinality, centre_disjoint, format_rational,
-                            parse_rational, verify_proper, verify_uproper)
+                            Instance, Point, _merge_groups, _relaxed_walk,
+                            aggregate_radius, cardinality, centre_disjoint,
+                            format_rational, parse_rational, verify_proper,
+                            verify_uproper)
 
 MAX = DisjointnessMode.MAX
 SUM = DisjointnessMode.SUM
@@ -93,10 +94,15 @@ class TestAssignment:
         assert any("idempotent" in v for v in report.violations)
 
     def test_selected_and_merged(self):
+        inst = mk((0, 0, 1), (1, 0, 2), (5, 0, 3))
         a = Assignment((1, 1, 3))
         assert a.selected() == (1, 3)
-        assert a.merged_into(1) == (2,)
+        assert _merge_groups(inst, a) == {1: ((2,), 3), 3: ((), 3)}
         assert cardinality(a) == 2
+        # groups come out by ascending selected disk, whatever the order
+        # in which the target names them
+        groups = _merge_groups(inst, Assignment((3, 2, 3)))
+        assert list(groups.items()) == [(2, ((), 2)), (3, ((1,), 4))]
 
 
 class TestVerifyProper:

@@ -276,16 +276,32 @@ class TestOracles:
             solve_exact_rmcmd(inst, max_n=4)
 
     def test_enumeration_matches_brute_force(self):
-        # the pruned enumeration yields exactly the verifier-accepted maps
+        # the pruned enumeration yields exactly the verifier-accepted
+        # maps, once each and in ascending target order; the strict
+        # optimum is the first of them with the most selected disks
         rng = random.Random(3)
-        for _ in range(20):
-            inst = random_collinear(rng, rng.randint(1, 5), tie_centres=True)
+        lines = [(f"line{k}", random_collinear(rng, rng.randint(1, 5),
+                                               tie_centres=True))
+                 for k in range(20)]
+        for name, inst in lines + ORACLE_CORPUS:
             for mode in (MAX, SUM):
-                smart = {a.target
-                         for a in enumerate_proper_assignments(inst, mode)}
-                brute = {t for t in iter_idempotent_maps(inst.n)
-                         if verify_proper(inst, Assignment(t), mode).ok}
-                assert smart == brute
+                found = [a.target
+                         for a in enumerate_proper_assignments(inst, mode)]
+                brute = sorted(t for t in iter_idempotent_maps(inst.n)
+                               if verify_proper(inst, Assignment(t),
+                                                mode).ok)
+                assert found == brute, name
+                result = solve_exact_mcmd(inst, mode)
+                assert result.stats == {"accepted": len(brute)}, name
+                if not brute:
+                    assert (result.status, result.cardinality,
+                            result.assignment) == (INFEASIBLE, 0, None), name
+                    continue
+                best = max(len(set(t)) for t in brute)
+                first = next(t for t in brute if len(set(t)) == best)
+                assert (result.status, result.cardinality,
+                        result.assignment.target) == \
+                    (FEASIBLE, best, first), name
 
     def test_relaxed_dominates_strict(self):
         rng = random.Random(4)
