@@ -1,13 +1,18 @@
 """Serialization round trips and SVG rendering."""
 
+import functools
+import hashlib
 import re
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from diskmerge.core import (Assignment, Disk, FormatError, Instance, Point)
-from diskmerge.fixtures import (chain_merge_instance, three_clause_formula)
+from diskmerge.fixtures import (FORMULA_FIXTURES, chain_merge_instance,
+                                three_clause_formula)
+from diskmerge.reduction import build_assignment_from_sat, reduce_sat
 from diskmerge.serialization import (instance_metadata, parse_assignment,
                                      parse_formula, parse_instance,
                                      parse_rep, serialize_assignment,
@@ -149,3 +154,70 @@ class TestRenderSvg:
         inst = Instance([Disk(1, Point(F(1, 3), F(2, 7)), F(5, 11))])
         svg = render_svg(inst)
         assert re.search(r"\d[eE][-+]?\d", svg) is None
+
+
+def _first_satisfying(formula):
+    for bits in product((0, 1), repeat=formula.num_variables):
+        values = {v + 1: b for v, b in enumerate(bits)}
+        if formula.is_satisfied(values):
+            return values
+    raise AssertionError("fixture formula is unsatisfiable")
+
+
+@functools.cache
+def _svg_cases():
+    """name -> (instance, assignment or None, options or None)."""
+    cases = {}
+    for name, fn in sorted(FORMULA_FIXTURES.items()):
+        formula, rep = fn()
+        art = reduce_sat(formula, rep)
+        cases[f"sat-{name}"] = (art.instance, build_assignment_from_sat(
+            art, _first_satisfying(formula)), None)
+    negative = Instance([Disk(1, Point(F(-7, 3), F(-1, 2)), F(5, 6)),
+                         Disk(2, Point(F(-3), F(-1, 2)), F(1, 4)),
+                         Disk(3, Point(F(2, 5), F(-11, 7)), F(3, 8))])
+    cases["negative"] = (negative, Assignment((1, 1, 3)), None)
+    cases["negative-scale-7/3-nolabels"] = (
+        negative, Assignment((1, 1, 3)),
+        RenderOptions(scale=F(7, 3), labels=False))
+    cases["chain-no-assignment"] = (chain_merge_instance(), None, None)
+    cases["empty"] = (Instance(()), None, None)
+    return cases
+
+
+# sha256 of render_svg's output for each case of _svg_cases
+SVG_PINS = {
+    "chain-no-assignment":
+        "bc10f212cd36cc2213a91dd6ccdf23f879d110f83fac6012d745cb2be61b3587",
+    "empty":
+        "da7a76152c109bddaebf29c33426f3fbb59929578e34304429f9bdbea0398d57",
+    "negative":
+        "81f79c0aa816305f241a7cc2b79b7a909c571b3a18ba2ae885990ad5e861b553",
+    "negative-scale-7/3-nolabels":
+        "a0a4708dfec16f866ea8c9b85c10a5c2bfdc080806b8a5823c5685499129fa74",
+    "sat-mixed_polarity":
+        "255a75891fb14a7165226275201c0ba55dc7b38eb400504589729baddf3d7ec8",
+    "sat-nested_positive":
+        "d24637ba7d7a1eb01b520bba5de07b4e806b7403483257b20f02b04076b48117",
+    "sat-single_negative":
+        "5ece903f74171c40335f228c492ebed2f21df6366e41af860ce3eb72836cdef0",
+    "sat-single_positive":
+        "29e023b4c8a2d51be23a2488b8e947a62756c535d64f608cbf0ba8ceed70c9d7",
+    "sat-three_clause":
+        "27c23dc056a9c78855f09dc5cc6410c4ae33c1fc3a239945c3ce36ae2c55432b",
+    "sat-unit_clause":
+        "dedf347609b359c264c260a61d2866c5cd4a333e62f4192802c3d1e9a74aec5a",
+    "sat-variables_only":
+        "c9123d2751c24f47bf343752e451075b1d22fb9a0f222ac0ab8696672ddde5e6",
+}
+
+
+class TestSvgPinned:
+    def test_every_case_pinned(self):
+        assert set(SVG_PINS) == set(_svg_cases())
+
+    @pytest.mark.parametrize("name", sorted(SVG_PINS))
+    def test_render_svg_bytes(self, name):
+        inst, assignment, options = _svg_cases()[name]
+        svg = render_svg(inst, assignment, options)
+        assert hashlib.sha256(svg.encode()).hexdigest() == SVG_PINS[name]
