@@ -18,6 +18,13 @@ rule, :func:`centre_disjoint` decides the MAX/SUM bound and
 ``_relaxed_walk`` walks the relaxed rule.  The verifiers here and the
 solvers in :mod:`diskmerge.solvers` all call these.
 
+Neighbour order is lazy.  One resumable sweep per disk
+(``Instance._walk``) yields the other disks in the exact ``(distance,
+id)`` order of :meth:`Instance.neighbor_sequence` and computes only as far
+as its caller reads, so the reach walks, the prefix check of
+:func:`verify_proper` and the solvers stop at the first neighbour out of
+reach instead of sorting all ``n`` disks for every disk.
+
 Inputs and outputs are exact :class:`fractions.Fraction` values.  Inside,
 :class:`Instance` scales every coordinate and radius by ``L``, the lcm of
 their denominators, so each verdict compares squared distances and
@@ -31,6 +38,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -122,6 +130,13 @@ class Instance:
     Coordinates and radii are kept scaled by ``L``, the lcm of all their
     denominators, as ints indexed by disk id; squared distances
     (``_d2``) and strict reach (``_reach``) are ints in those units.
+
+    Neighbours come from one lazy walk per disk (:meth:`_walk`) in the
+    exact ``(d2, id)`` order of :meth:`neighbor_sequence`.  It computes
+    only as far as a caller reads, so :meth:`_reach` and the prefix
+    readers in the verifiers and solvers stop at the first neighbour out
+    of reach instead of sorting all ``n`` disks.  The walk keeps its state
+    in plain lists and ints, so an instance pickles mid-walk.
     """
 
     def __init__(self, disks: Iterable[Disk]):
@@ -139,8 +154,14 @@ class Instance:
         self._x = (0,) + tuple(_scaled(d.center.x, L) for d in disks)
         self._y = (0,) + tuple(_scaled(d.center.y, L) for d in disks)
         self._r = (0,) + tuple(_scaled(d.radius, L) for d in disks)
-        self._neighbors: dict[int, tuple[int, ...]] = {}
-        self._reaches: dict[int, tuple[int, ...]] = {}
+        # sweep axis, set up by the first walk: ids sorted by (axis
+        # coordinate, id), their coordinates, and each id's position
+        self._order: list[int] = []
+        self._coords: list[int] = []
+        self._rank: list[int] = []
+        # disk -> [pairs released, heap, left frontier, right frontier]
+        self._walks: dict[int, list] = {}
+        self._reaches: dict[tuple[int, bool], tuple[int, ...]] = {}
 
     def radius(self, i: int) -> Fraction:
         return self.disks[i - 1].radius
@@ -157,28 +178,99 @@ class Instance:
     def dist2(self, i: int, j: int) -> Fraction:
         return Fraction(self._d2(i, j), self._scale * self._scale)
 
+    def _walk(self, i: int, k: int) -> list[tuple[int, int]]:
+        """The pairs ``(_d2(i, j), j)`` of the other disks ``j`` in
+        ascending order, released at least up to the ``k``-th (all of
+        them when ``k >= n - 1``).  The list is the walk's own: later
+        calls extend it in place, and callers must not change it.
+
+        A sweep along the wider of the x and y extents (Friedman, Baskett
+        & Shustek, 1975): step outward from ``i``'s position in the axis
+        order, pushing each visited disk onto a heap, and release the
+        heap's minimum only while its ``d2`` is below ``g**2``, where
+        ``g`` is the axis gap to the nearest unvisited disk.  Every
+        unvisited disk lies at least that far, and equal distances wait
+        until all of them are in the heap, which then releases them by
+        id.  Each call resumes where the last one stopped.
+        """
+        state = self._walks.get(i)
+        if state is None:
+            if not self._order:
+                xs, ys = self._x[1:], self._y[1:]
+                axis = self._x if max(xs) - min(xs) >= max(ys) - min(ys) \
+                    else self._y
+                order = self._order = sorted(range(1, self.n + 1),
+                                             key=lambda j: (axis[j], j))
+                self._coords = [axis[j] for j in order]
+                self._rank = [0] * (self.n + 1)
+                for p, j in enumerate(order):
+                    self._rank[j] = p
+            p = self._rank[i]
+            state = self._walks[i] = [[], [], p - 1, p + 1]
+        done, heap, lo, hi = state
+        if len(done) >= k:
+            return done
+        order, coords, n = self._order, self._coords, self.n
+        xs, ys = self._x, self._y
+        x, y, a = xs[i], ys[i], coords[self._rank[i]]
+        while True:
+            # the nearest unvisited position q along the axis, at gap g
+            if lo >= 0 and (hi == n or a - coords[lo] <= coords[hi] - a):
+                q, g = lo, a - coords[lo]
+            elif hi < n:
+                q, g = hi, coords[hi] - a
+            else:  # all visited: the heap holds the rest in order
+                while heap and len(done) < k:
+                    done.append(heappop(heap))
+                break
+            g2 = g * g
+            while heap and heap[0][0] < g2:
+                done.append(heappop(heap))
+            if len(done) >= k:
+                break
+            j = order[q]
+            if q == lo:
+                lo -= 1
+            else:
+                hi += 1
+            dx, dy = xs[j] - x, ys[j] - y
+            heappush(heap, (dx * dx + dy * dy, j))
+        state[2], state[3] = lo, hi
+        return done
+
+    def _neighbor_prefix(self, i: int, k: int) -> tuple[int, ...]:
+        """The first ``k`` entries of :meth:`neighbor_sequence`."""
+        return tuple(j for _, j in self._walk(i, k)[:k])
+
     def neighbor_sequence(self, i: int) -> tuple[int, ...]:
         """Other disks ordered by increasing centre distance; ties by id."""
-        seq = self._neighbors.get(i)
-        if seq is None:
-            d2 = self._d2
-            others = sorted((d2(i, j), j)
-                            for j in range(1, self.n + 1) if j != i)
-            seq = self._neighbors[i] = tuple(j for _, j in others)
-        return seq
+        return self._neighbor_prefix(i, self.n - 1)
 
-    def _reach(self, i: int) -> tuple[int, ...]:
-        """:meth:`reach` in units of ``1/L``."""
-        aggs = self._reaches.get(i)
+    def _reach(self, i: int, strict: bool = True) -> tuple[int, ...]:
+        """:meth:`reach` in units of ``1/L``.
+
+        With ``strict=False``, the same walk under the relaxed rule: it
+        also takes a neighbour at exactly the radius so far.  Its last
+        entry is then the least ``U`` with ``U = r_i + sum r_j`` over the
+        ``j != i`` at ``_d2(i, j) <= U**2``, and the neighbours it takes
+        are exactly those.
+        """
+        aggs = self._reaches.get((i, strict))
         if aggs is None:
-            total = self._r[i]
+            r = self._r
+            total = r[i]
             walk = [total]
-            for j in self.neighbor_sequence(i):
-                if self._d2(i, j) >= total * total:
+            pairs = self._walk(i, 1)
+            for k in range(self.n - 1):
+                if k == len(pairs):
+                    self._walk(i, k + 1)  # extends pairs
+                d2, j = pairs[k]
+                limit = total * total
+                if d2 > limit or strict and d2 == limit:
                     break
-                total += self._r[j]
+                total += r[j]
                 walk.append(total)
-            aggs = self._reaches[i] = tuple(walk)
+            aggs = self._reaches[i, strict] = tuple(walk)
         return aggs
 
     def reach(self, i: int) -> tuple[Fraction, ...]:
@@ -242,11 +334,9 @@ def cardinality(assignment: Assignment) -> int:
 
 def aggregate_radius(instance: Instance, assignment: Assignment, i: int) -> Fraction:
     """Sum of the radii of all disks mapped to ``i`` (including ``i`` itself
-    when it is selected)."""
-    return sum(
-        (instance.radius(j) for j in range(1, instance.n + 1) if assignment(j) == i),
-        Fraction(0),
-    )
+    when it is selected); 0 when no disk is mapped to ``i``."""
+    group = _merge_groups(instance, assignment).get(i)
+    return Fraction(group[1], instance._scale) if group else Fraction(0)
 
 
 def _merge_groups(instance: Instance, assignment: Assignment,
@@ -334,8 +424,8 @@ def verify_proper(instance: Instance, assignment: Assignment,
 
     groups = _merge_groups(instance, assignment)
     for i, (members, _) in groups.items():
-        seq = instance.neighbor_sequence(i)
-        if set(seq[: len(members)]) != set(members):
+        seq = instance._neighbor_prefix(i, len(members))
+        if set(seq) != set(members):
             violations.append(
                 f"disks merged into {i} are not a neighbour-sequence prefix"
             )

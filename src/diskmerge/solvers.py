@@ -62,30 +62,6 @@ class MergeWindow:
     B: int
 
 
-def _relaxed_reach_bounds(instance: Instance) -> list[int]:
-    """Upper bound ``U_t`` on the aggregate radius of each disk ``t`` under
-    the relaxed rule, in units of ``1/L`` (index 0 unused).
-
-    ``U_t`` is the least fixed point of ``U = r_t + sum r_j`` over the
-    ``j != t`` with ``_d2(t, j) <= U**2``.  Every member of a walk that
-    ``_relaxed_walk`` accepts lies within the aggregate of the members
-    before it, so by induction within ``U_t``: a disk ``j`` can merge into
-    ``t`` only if ``_d2(t, j) <= U_t**2``.
-    """
-    n, r = instance.n, instance._r
-    bounds = [0]
-    for t in range(1, n + 1):
-        bound = r[t]
-        while True:
-            grown = r[t] + sum(r[j] for j in range(1, n + 1) if j != t
-                               and instance._d2(t, j) <= bound * bound)
-            if grown == bound:
-                break
-            bound = grown
-        bounds.append(bound)
-    return bounds
-
-
 def _search(instance: Instance, mode: DisjointnessMode, relaxed: bool,
             stats: dict) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Depth-first search over assignments; yields ``(cardinality,
@@ -99,9 +75,13 @@ def _search(instance: Instance, mode: DisjointnessMode, relaxed: bool,
     of ``t``'s neighbour sequence, and attaching ``i`` merges the rest of
     that prefix through ``i``, all of which must still be undecided.
     Under the relaxed rule ``t`` can reach ``i`` when ``_d2(t, i) <=
-    U_t**2`` (:func:`_relaxed_reach_bounds`), and attaching merges ``i``
-    alone.  Each leaf's target tuple fixes every branch taken, so no
-    assignment is reached twice.
+    U_t**2``, and attaching merges ``i`` alone.  ``U_t`` is the last
+    aggregate of ``t``'s relaxed reach walk (``Instance._reach`` with
+    ``strict=False``): every member of a walk that ``_relaxed_walk``
+    accepts lies within the aggregate of the members before it, so by
+    induction within ``U_t``.  Both tables read only the neighbours that
+    these walks take.  Each leaf's target tuple fixes every branch
+    taken, so no assignment is reached twice.
 
     Aggregates only grow as members are added, so a
     :func:`centre_disjoint` failure on partial aggregates is final; every
@@ -113,26 +93,21 @@ def _search(instance: Instance, mode: DisjointnessMode, relaxed: bool,
     ``stats["checked"]`` counts search nodes once the search is done.
     """
     n, r = instance.n, instance._r
-    d2 = [[0] * (n + 1)] + [[0] + [instance._d2(i, j)
-                                   for j in range(1, n + 1)]
-                            for i in range(1, n + 1)]
-    # candidate targets of each disk as (t, k), ascending in t; strict: k
-    # is the length of t's prefix through i (0 when t == i)
-    if relaxed:
-        bounds = _relaxed_reach_bounds(instance)
-        cands = [()] + [tuple((t, 0) for t in range(1, n + 1)
-                              if t == i or d2[t][i] <= bounds[t] ** 2)
-                        for i in range(1, n + 1)]
-    else:
-        reach = [()] + [instance._reach(t) for t in range(1, n + 1)]
-        seqs = [()] + [instance.neighbor_sequence(t)
-                       for t in range(1, n + 1)]
-        covers: list[list[tuple[int, int]]] = [[(i, 0)]
-                                               for i in range(n + 1)]
-        for t in range(1, n + 1):
-            for k in range(1, len(reach[t])):
-                covers[seqs[t][k - 1]].append((t, k))
-        cands = [tuple(sorted(c)) for c in covers]
+    d2 = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            d2[i][j] = d2[j][i] = instance._d2(i, j)
+    # candidate targets of each disk i as (t, k), ascending in t: i itself
+    # (k = 0), or a t whose walk under the rule takes i as its k-th
+    # neighbour; strict: attaching i merges t's first k neighbours
+    reach = [()] + [instance._reach(t, not relaxed) for t in range(1, n + 1)]
+    seqs = [()] + [instance._neighbor_prefix(t, len(reach[t]) - 1)
+                   for t in range(1, n + 1)]
+    covers: list[list[tuple[int, int]]] = [[(i, 0)] for i in range(n + 1)]
+    for t in range(1, n + 1):
+        for k, i in enumerate(seqs[t], start=1):
+            covers[i].append((t, k))
+    cands = [tuple(sorted(c)) for c in covers]
     target = [0] * (n + 1)              # 0 = undecided
     agg = [0] * (n + 1)                 # partial aggregates of selected disks
     members: list[list[int]] = [[] for _ in range(n + 1)]
@@ -327,22 +302,28 @@ def solve_collinear(
     aggs = [()] + [instance._reach(id_at[p]) for p in range(1, n + 1)]
     windows: list[list[Optional[MergeWindow]]] = [[]]
     for p in range(1, n + 1):
-        i = id_at[p]
-        seq = instance.neighbor_sequence(i)
+        # the centres strictly inside prefix j's aggregate are the walk's
+        # pairs with d2 < reach**2: a run from its start that lengthens
+        # with j and ends inside the feasible prefix (_reach stopped at
+        # the first centre outside the last aggregate).  On a line they
+        # fill the positions A..B around p.
+        pairs = instance._walk(id_at[p], len(aggs[p]) - 1)
         wrow: list[Optional[MergeWindow]] = []
-        # the reach grows strictly with j and distances grow away from p
-        # along the line, so A only moves left and B only moves right
         lo = hi = A = B = p
+        inside = 0
         for j, reach in enumerate(aggs[p]):
             if j:
-                q = pos_of[seq[j - 1]]
+                q = pos_of[pairs[j - 1][1]]
                 lo, hi = min(lo, q), max(hi, q)
             if hi - lo == j:
                 r2 = reach * reach
-                while A > 1 and instance._d2(i, id_at[A - 1]) < r2:
-                    A -= 1
-                while B < n and instance._d2(i, id_at[B + 1]) < r2:
-                    B += 1
+                while inside < len(pairs) and pairs[inside][0] < r2:
+                    q = pos_of[pairs[inside][1]]
+                    if q < A:
+                        A = q
+                    elif q > B:
+                        B = q
+                    inside += 1
                 wrow.append(MergeWindow(lo, hi, A, B))
             else:
                 wrow.append(None)
@@ -408,7 +389,7 @@ def solve_collinear(
         _, y, _, j = key
         i = id_at[y]
         target[i] = i
-        for nb in instance.neighbor_sequence(i)[:j]:
+        for nb in instance._neighbor_prefix(i, j):
             target[nb] = i
         key = pred[key]
     assignment = Assignment(tuple(target[1:]))

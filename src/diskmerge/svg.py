@@ -1,9 +1,10 @@
 """Deterministic SVG rendering of disk configurations.
 
-Coordinates are exact rationals until the final formatting step, where
-they are printed with a fixed number of decimals, so identical inputs
-always produce byte-identical output.  The y axis is flipped so that
-positive y points up.
+Coordinates stay exact: every printed number is a rational built from the
+instance's scaled ints (see :class:`~diskmerge.core.Instance`) and the
+render scale, and it is printed with a fixed number of decimals by integer
+arithmetic alone, so identical inputs always produce byte-identical
+output.  The y axis is flipped so that positive y points up.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Optional
 from .core import (Assignment, DisjointnessMode, FormatError, Instance,
                    _merge_groups, verify_uproper)
 
-_MARGIN = Fraction(1)
 _DECIMALS = 4
+_UNIT = 10 ** _DECIMALS
 
 
 @dataclass(frozen=True)
@@ -26,12 +27,14 @@ class RenderOptions:
     mode: DisjointnessMode = DisjointnessMode.MAX
 
 
-def _fmt(value: Fraction) -> str:
-    # round the exact rational and print from integers; no float ever
-    rounded = round(value * 10 ** _DECIMALS)
-    sign = "-" if rounded < 0 else ""
-    rounded = abs(rounded)
-    whole, frac = divmod(rounded, 10 ** _DECIMALS)
+def _fmt(num: int, den: int) -> str:
+    """``num / den`` (``den > 0``) with ``_DECIMALS`` decimals, rounded
+    half to even as ``round`` rounds a Fraction; no float ever."""
+    q, rem = divmod(num * _UNIT, den)
+    if 2 * rem > den or 2 * rem == den and q % 2:
+        q += 1
+    sign = "-" if q < 0 else ""
+    whole, frac = divmod(abs(q), _UNIT)
     return f"{sign}{whole}.{frac:0{_DECIMALS}d}"
 
 
@@ -40,44 +43,43 @@ def render_svg(instance: Instance,
                options: Optional[RenderOptions] = None) -> str:
     """Render the instance (and optionally a verified assignment) as SVG."""
     opts = options or RenderOptions()
-    aggs: dict[int, Fraction] = {}  # selected disk -> aggregate radius
+    aggs: dict[int, int] = {}  # selected disk -> aggregate radius (1/L)
     if assignment is not None:
         report = verify_uproper(instance, assignment, opts.mode)
         if not report.ok:
             raise FormatError(
                 f"assignment fails verification: {report.violations[0]}")
-        aggs = {i: Fraction(a, instance._scale) for i, (_, a)
+        aggs = {i: a for i, (_, a)
                 in _merge_groups(instance, assignment).items()}
 
-    s = opts.scale
+    # lengths in units of 1/L, printed as length * s / L; the margin is 1
+    L = margin = instance._scale
+    xs, ys, rs = instance._x, instance._y, instance._r
+    num, den = opts.scale.numerator, opts.scale.denominator * L
     if instance.n == 0:
-        width = height = 2 * _MARGIN * s
-        min_x = min_y = -_MARGIN
-        max_y = _MARGIN
+        min_x = min_y = -margin
+        max_x = max_y = margin
     else:
-        min_x = min(d.center.x - d.radius for d in instance.disks) - _MARGIN
-        max_x = max(d.center.x + d.radius for d in instance.disks) + _MARGIN
-        min_y = min(d.center.y - d.radius for d in instance.disks) - _MARGIN
-        max_y = max(d.center.y + d.radius for d in instance.disks) + _MARGIN
-        for i, agg in aggs.items():
-            c = instance.center(i)
-            min_x = min(min_x, c.x - agg - _MARGIN)
-            max_x = max(max_x, c.x + agg + _MARGIN)
-            min_y = min(min_y, c.y - agg - _MARGIN)
-            max_y = max(max_y, c.y + agg + _MARGIN)
-        width = (max_x - min_x) * s
-        height = (max_y - min_y) * s
+        ids = range(1, instance.n + 1)
+        spans = [(i, rs[i]) for i in ids] + list(aggs.items())
+        min_x = min(xs[i] - r for i, r in spans) - margin
+        max_x = max(xs[i] + r for i, r in spans) + margin
+        min_y = min(ys[i] - r for i, r in spans) - margin
+        max_y = max(ys[i] + r for i, r in spans) + margin
 
-    def px(x: Fraction) -> str:
-        return _fmt((x - min_x) * s)
+    def length(v: int) -> str:
+        return _fmt(v * num, den)
 
-    def py(y: Fraction) -> str:
-        return _fmt((max_y - y) * s)  # flip: positive y is up
+    def px(i: int) -> str:
+        return length(xs[i] - min_x)
+
+    def py(i: int) -> str:
+        return length(max_y - ys[i])  # flip: positive y is up
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}">',
+        f'width="{length(max_x - min_x)}" height="{length(max_y - min_y)}">',
     ]
 
     # merge segments below circles so they do not obscure outlines
@@ -86,10 +88,9 @@ def render_svg(instance: Instance,
             t = assignment(i)
             if t == i:
                 continue
-            a, b = instance.center(i), instance.center(t)
             lines.append(
-                f'<line x1="{px(a.x)}" y1="{py(a.y)}" '
-                f'x2="{px(b.x)}" y2="{py(b.y)}" '
+                f'<line x1="{px(i)}" y1="{py(i)}" '
+                f'x2="{px(t)}" y2="{py(t)}" '
                 f'stroke="#888888" stroke-width="1" '
                 f'stroke-dasharray="4 3"/>')
 
@@ -97,24 +98,23 @@ def render_svg(instance: Instance,
         selected = assignment is not None and assignment(d.id) == d.id
         stroke = "#000000" if assignment is None or selected else "#999999"
         lines.append(
-            f'<circle cx="{px(d.center.x)}" cy="{py(d.center.y)}" '
-            f'r="{_fmt(d.radius * s)}" fill="none" '
+            f'<circle cx="{px(d.id)}" cy="{py(d.id)}" '
+            f'r="{length(rs[d.id])}" fill="none" '
             f'stroke="{stroke}" stroke-width="1.5"/>')
 
     for i, agg in aggs.items():
-        if agg == instance.radius(i):
+        if agg == rs[i]:
             continue  # nothing merged in; base circle already drawn
-        c = instance.center(i)
         lines.append(
-            f'<circle cx="{px(c.x)}" cy="{py(c.y)}" '
-            f'r="{_fmt(agg * s)}" fill="none" '
+            f'<circle cx="{px(i)}" cy="{py(i)}" '
+            f'r="{length(agg)}" fill="none" '
             f'stroke="#cc0000" stroke-width="1" '
             f'stroke-dasharray="6 4"/>')
 
     if opts.labels:
         for d in instance.disks:
             lines.append(
-                f'<text x="{px(d.center.x)}" y="{py(d.center.y)}" '
+                f'<text x="{px(d.id)}" y="{py(d.id)}" '
                 f'font-size="10" text-anchor="middle" '
                 f'dominant-baseline="middle">{d.id}</text>')
 

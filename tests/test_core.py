@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -361,6 +362,125 @@ class TestIntegerKernel:
                 report = verify(inst, phi, mode)
                 assert report.violations == expected
                 assert report.ok == (not expected)
+
+
+def ref_relaxed_bound(inst, i):
+    """Least fixed point of ``U = r_i + sum r_j`` over the ``j != i`` with
+    ``dist2(i, j) <= U**2``, by iteration from ``r_i``."""
+    bound = inst.radius(i)
+    while True:
+        grown = inst.radius(i) + sum(
+            inst.radius(j) for j in range(1, inst.n + 1)
+            if j != i and ref_dist2(inst, i, j) <= bound * bound)
+        if grown == bound:
+            return bound
+        bound = grown
+
+
+sweep_coords = st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3)))
+
+
+@st.composite
+def sweep_instances(draw):
+    """Centres that stress the sweep of ``Instance._walk``: on a vertical,
+    horizontal or sloped line, in a box with equal x and y extents, on a
+    few shared points, or in mirror-image pairs around a centre (equal
+    distances on both sides, the larger id on the left); and n = 1."""
+    kind = draw(st.sampled_from(("vertical", "horizontal", "sloped", "box",
+                                 "shared", "mirror", "single")))
+    if kind == "single":
+        centres = [(draw(sweep_coords), draw(sweep_coords))]
+    elif kind == "mirror":
+        cx, cy = draw(sweep_coords), draw(sweep_coords)
+        offsets = draw(st.lists(st.tuples(sweep_coords, sweep_coords),
+                                min_size=1, max_size=4))
+        centres = [(cx, cy)]
+        for dx, dy in offsets:
+            centres += [(cx + dx, cy + dy), (cx - dx, cy - dy)]
+    else:
+        us = draw(st.lists(sweep_coords, min_size=2, max_size=9))
+        if kind == "vertical":
+            centres = [(F(1, 2), u) for u in us]
+        elif kind == "horizontal":
+            centres = [(u, F(-3)) for u in us]
+        elif kind == "sloped":
+            slope = draw(st.sampled_from((F(1), F(-1), F(2, 3), F(-5, 2))))
+            centres = [(u, slope * u + 1) for u in us]
+        elif kind == "box":
+            vs = draw(st.lists(sweep_coords, min_size=len(us),
+                               max_size=len(us)))
+            centres = [(F(-12), F(-12)), (F(12), F(12))] + list(zip(us, vs))
+        else:
+            pool = list(zip(us, reversed(us)))
+            centres = draw(st.lists(st.sampled_from(pool), min_size=2,
+                                    max_size=9))
+    ids = list(range(1, len(centres) + 1))
+    if kind == "mirror":
+        ids.reverse()  # the later image of each pair gets the smaller id
+    # halves on a grid of thirds and halves: tangencies are common
+    radii = [F(draw(st.integers(1, 16)), 2) for _ in centres]
+    return Instance([Disk(d, Point(x, y), r)
+                     for d, (x, y), r in zip(ids, centres, radii)])
+
+
+@st.composite
+def sweep_reads(draw):
+    """An instance and an interleaving of reads: prefixes of random
+    length, strict and relaxed reaches and full orders, of random disks,
+    with pickle round trips in between."""
+    inst = draw(sweep_instances())
+    n = inst.n
+    op = st.one_of(
+        st.tuples(st.just("prefix"), st.integers(1, n), st.integers(0, n)),
+        st.tuples(st.sampled_from(("reach", "relaxed", "full")),
+                  st.integers(1, n), st.just(0)),
+        st.tuples(st.just("pickle"), st.just(1), st.just(0)))
+    return inst, draw(st.lists(op, min_size=1, max_size=3 * n + 3))
+
+
+class TestSweepWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_reads())
+    def test_reads_match_full_sort_reference(self, case):
+        inst, reads = case
+        scale = inst._scale
+        for kind, i, k in reads:
+            if kind == "prefix":
+                assert inst._neighbor_prefix(i, k) == \
+                    ref_neighbors(inst, i)[:k]
+            elif kind == "reach":
+                assert tuple(F(t, scale) for t in inst._reach(i)) == \
+                    ref_reach(inst, i)
+            elif kind == "relaxed":
+                walk = inst._reach(i, strict=False)
+                assert F(walk[-1], scale) == ref_relaxed_bound(inst, i)
+                taken = inst._neighbor_prefix(i, len(walk) - 1)
+                assert set(taken) == {
+                    j for j in range(1, inst.n + 1) if j != i and
+                    ref_dist2(inst, i, j) <= ref_relaxed_bound(inst, i) ** 2}
+            elif kind == "full":
+                assert inst.neighbor_sequence(i) == ref_neighbors(inst, i)
+            else:
+                again = pickle.loads(pickle.dumps(inst))
+                assert again == inst
+                inst = again
+        for i in range(1, inst.n + 1):
+            assert inst.reach(i) == ref_reach(inst, i)
+            assert F(inst._reach(i, strict=False)[-1], scale) == \
+                ref_relaxed_bound(inst, i)
+            pairs = inst._walk(i, inst.n)
+            assert [j for _, j in pairs] == list(ref_neighbors(inst, i))
+            assert all(d2 == inst._d2(i, j) for d2, j in pairs)
+
+    def test_pickle_resumes_partial_walk(self):
+        inst = mk(*[(x, 2 * x, 1) for x in (5, -3, 0, 4, -1, 2, -4, 1)])
+        assert inst._neighbor_prefix(3, 2) == (5, 8)  # a tie, by id
+        assert len(inst._walks[3][0]) < inst.n - 1  # the walk is partial
+        again = pickle.loads(pickle.dumps(inst))
+        assert again._walks[3][0] == inst._walks[3][0]
+        for i in range(1, inst.n + 1):
+            assert again.neighbor_sequence(i) == ref_neighbors(inst, i)
+            assert again.reach(i) == ref_reach(inst, i)
 
 
 class TestRuleImplication:

@@ -18,7 +18,7 @@ from diskmerge.serialization import (instance_metadata, parse_assignment,
                                      parse_rep, serialize_assignment,
                                      serialize_formula, serialize_instance,
                                      serialize_rep)
-from diskmerge.svg import RenderOptions, render_svg
+from diskmerge.svg import RenderOptions, _fmt, render_svg
 
 rationals = st.fractions(max_denominator=10 ** 6)
 positive_rationals = rationals.filter(lambda q: q > 0)
@@ -221,3 +221,43 @@ class TestSvgPinned:
         inst, assignment, options = _svg_cases()[name]
         svg = render_svg(inst, assignment, options)
         assert hashlib.sha256(svg.encode()).hexdigest() == SVG_PINS[name]
+
+
+def fraction_fmt(value: F) -> str:
+    """The Fraction formatting that ``_fmt`` replaces: round the exact
+    rational to 4 decimals (half to even) and print it from integers."""
+    rounded = round(value * 10 ** 4)
+    sign = "-" if rounded < 0 else ""
+    whole, frac = divmod(abs(rounded), 10 ** 4)
+    return f"{sign}{whole}.{frac:04d}"
+
+
+@st.composite
+def fmt_operands(draw):
+    """``(num, den)`` as render_svg forms them, ``(X - M) * s.numerator``
+    over ``s.denominator * L``, or an exact tie ``k + 1/2`` at the 4th
+    decimal over an arbitrary common factor."""
+    if draw(st.booleans()):
+        k = draw(st.integers(-10 ** 7, 10 ** 7))
+        factor = draw(st.integers(1, 10 ** 6))
+        return (2 * k + 1) * factor, 2 * 10 ** 4 * factor
+    offset = draw(st.integers(-10 ** 9, 10 ** 9))
+    scale = draw(st.fractions(min_value=F(1, 1000), max_value=1000,
+                              max_denominator=1000))
+    big = draw(st.integers(1, 10 ** 6))
+    return offset * scale.numerator, scale.denominator * big
+
+
+class TestFmt:
+    @settings(max_examples=500)
+    @given(fmt_operands())
+    def test_matches_fraction_rounding(self, operands):
+        num, den = operands
+        assert _fmt(num, den) == fraction_fmt(F(num, den))
+
+    @pytest.mark.parametrize("num,den,text", [
+        (1, 20000, "0.0000"), (3, 20000, "0.0002"), (-1, 20000, "0.0000"),
+        (-3, 20000, "-0.0002"), (7, 3, "2.3333"), (-7, 3, "-2.3333"),
+        (5, 1, "5.0000"), (0, 9, "0.0000")])
+    def test_half_to_even(self, num, den, text):
+        assert _fmt(num, den) == text == fraction_fmt(F(num, den))
