@@ -19,11 +19,10 @@ from .core import (Disk, DisjointnessMode, FormatError, Instance, Point,
                    format_rational, parse_rational, verify_proper,
                    verify_uproper)
 from .reduction import reduce_sat
-from .serialization import (_dump, parse_assignment, parse_formula,
-                            parse_instance, parse_rep, serialize_assignment,
-                            serialize_instance)
-from .solvers import (collinearity_check, solve_collinear, solve_exact_mcmd,
-                      solve_exact_rmcmd)
+from .serialization import (_dump, _parse_int, parse_assignment,
+                            parse_formula, parse_instance, parse_rep,
+                            serialize_assignment, serialize_instance)
+from .solvers import solve_collinear, solve_exact_mcmd, solve_exact_rmcmd
 from .svg import RenderOptions, render_svg
 from .transforms import PartitionInput, equalize_radii, reduce_partition
 
@@ -58,18 +57,16 @@ def _mode(args) -> DisjointnessMode:
 def _cmd_solve(args) -> int:
     instance = parse_instance(_read(args.instance))
     mode = _mode(args)
-    if args.collinear:
-        if args.relaxed:
-            raise FormatError("--relaxed requires --exact")
-        if collinearity_check(instance) is None:
-            raise FormatError("--collinear requires collinear disk centres")
-        result = solve_collinear(instance, mode)
-    else:
-        solver = solve_exact_rmcmd if args.relaxed else solve_exact_mcmd
-        try:
+    if args.collinear and args.relaxed:
+        raise FormatError("--relaxed requires --exact")
+    try:
+        if args.collinear:
+            result = solve_collinear(instance, mode)
+        else:
+            solver = solve_exact_rmcmd if args.relaxed else solve_exact_mcmd
             result = solver(instance, mode, max_n=args.max_n)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
+    except ValueError as exc:  # not collinear, or over --max-n
+        raise FormatError(str(exc)) from exc
     summary = {"status": result.status, "cardinality": result.cardinality}
     if result.assignment is not None:
         doc = serialize_assignment(result.assignment)
@@ -106,10 +103,10 @@ def _cmd_reduce_sat(args) -> int:
 
 
 def _cmd_reduce_partition(args) -> int:
-    try:
-        values = tuple(Fraction(int(v)) for v in args.values.split(","))
-    except ValueError as exc:
-        raise FormatError(f"bad --values list: {args.values!r}") from exc
+    ints = [_parse_int(v) for v in args.values.split(",")]
+    if None in ints:
+        raise FormatError(f"bad --values list: {args.values!r}")
+    values = tuple(Fraction(v) for v in ints)
     inp = PartitionInput(values, parse_rational(args.e))
     instance = reduce_partition(inp)
     meta = {"kind": "partition-reduction",

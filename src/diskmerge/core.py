@@ -40,9 +40,12 @@ from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# ASCII digits only, matched with fullmatch: ``\d`` would take any Unicode
+# digit and ``$`` a trailing newline
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INT_RE = re.compile(r"0|-?[1-9][0-9]*")  # canonical ints only
 
 
 class FormatError(ValueError):
@@ -58,7 +61,7 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
-        if not _RATIONAL_RE.match(value):
+        if not _RATIONAL_RE.fullmatch(value):
             raise FormatError(f"not a rational number: {value!r}")
         try:
             return Fraction(value)
@@ -237,6 +240,15 @@ class Instance:
             heappush(heap, (dx * dx + dy * dy, j))
         state[2], state[3] = lo, hi
         return done
+
+    def _pairs(self, i: int) -> Iterator[tuple[int, int]]:
+        """The pairs of :meth:`_walk`, one at a time, each computed only
+        when the caller asks for it."""
+        pairs = self._walk(i, 1)
+        for k in range(self.n - 1):
+            if k == len(pairs):
+                self._walk(i, k + 1)  # extends pairs
+            yield pairs[k]
 
     def _neighbor_prefix(self, i: int, k: int) -> tuple[int, ...]:
         """The first ``k`` entries of :meth:`neighbor_sequence`."""

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (Assignment, Disk, DisjointnessMode, FormatError, Instance,
-                   Point, _common_scale, _scaled, verify_proper)
+                   Point, verify_proper)
 from .formula import MonotoneFormula, RectilinearRep, grid_embed
 from .gadgets import Gadget, GadgetKind, Pose, build_gadget, pose_at
 
@@ -62,7 +62,13 @@ def assemble(gadgets: Sequence[Gadget]) -> Assembly:
     Epsilon is small enough that no selector's aggregate radius can
     reach a disk outside its base radius and that marker disks cannot
     absorb anything, so gadget behaviour stays local.  A ReductionError
-    means the layout violates the required separations.
+    means the layout violates the required separations: a selector's
+    base radius reaches a disk other than its own gadget's markers.
+
+    The checks read the neighbour walks of one private Instance of the
+    selectors and the distinct marker centres (radius 1, which leaves
+    ``L`` as it is): each selector stops at its first disk beyond its
+    base radius, each marker at its nearest marker.
     """
     sdisk_list: list[tuple[int, str, Point, Fraction]] = []
     owners: dict[Point, list[tuple[int, str]]] = {}
@@ -74,65 +80,40 @@ def assemble(gadgets: Sequence[Gadget]) -> Assembly:
 
     if any(len(v) > 2 for v in owners.values()):
         raise ReductionError("a port is shared by more than two gadgets")
-    marker_centers = list(owners)
-    k = len(marker_centers)
+    k = len(owners)
     if k == 0:
         raise ReductionError("no marker disks")
 
-    # exact comparisons on ints: every coordinate and radius times L
-    centres = [c for _, _, c, _ in sdisk_list] + marker_centers
-    L = _common_scale([r for *_, r in sdisk_list]
-                      + [v for p in centres for v in (p.x, p.y)])
-    sel = [(_scaled(c.x, L), _scaled(c.y, L), _scaled(r, L))
-           for _, _, c, r in sdisk_list]
-    mk = [(_scaled(p.x, L), _scaled(p.y, L)) for p in marker_centers]
+    S = len(sdisk_list)
+    layout = Instance(
+        [Disk(i, p, r) for i, (_, _, p, r) in enumerate(sdisk_list, 1)]
+        + [Disk(m, p, F(1)) for m, p in enumerate(owners, S + 1)])
+    L, rs = layout._scale, layout._r
     own_markers: list[set[int]] = [set() for _ in gadgets]
-    for m, p in enumerate(marker_centers):
-        for gi, _ in owners[p]:
+    for m, gs in enumerate(owners.values(), S + 1):
+        for gi, _ in gs:
             own_markers[gi].add(m)
-
-    # selected selectors must stay centre-disjoint
-    for i, (x1, y1, r1) in enumerate(sel):
-        for j in range(i + 1, len(sel)):
-            x2, y2, r2 = sel[j]
-            m = max(r1, r2)
-            if (x1 - x2) ** 2 + (y1 - y2) ** 2 < m * m:
-                gi, n1 = sdisk_list[i][:2]
-                gj, n2 = sdisk_list[j][:2]
-                raise ReductionError(
-                    f"selectors {gi}:{n1} and {gj}:{n2} too close")
 
     # clearance from each selector to everything it must never absorb:
     # the least (d2 - r^2) / (2r + 1), kept as a numerator/denominator
-    # pair of ints (both scaled by L^2) and compared by cross-multiplying
+    # pair of ints (both scaled by L^2) and compared by cross-multiplying;
+    # for one selector it is the term of its nearest disk beyond r
     min_term: Optional[tuple[int, int]] = None
-    for i, (gi, name, _, _) in enumerate(sdisk_list):
-        x, y, r = sel[i]
-        r2 = r * r
-        den = L * (2 * r + L)
-        others = [(q, marker_centers[m], m in own_markers[gi])
-                  for m, q in enumerate(mk)]
-        others += [(s[:2], sdisk_list[j][2], False)
-                   for j, s in enumerate(sel) if j != i]
-        for (qx, qy), p, is_own in others:
-            d2 = (qx - x) ** 2 + (qy - y) ** 2
-            if d2 <= r2:
-                if is_own:  # own marker within the base radius
-                    continue
-                raise ReductionError(
-                    f"selector {gi}:{name} overlaps a foreign disk at {p}")
-            num = d2 - r2
-            if min_term is None or num * min_term[1] < min_term[0] * den:
-                min_term = (num, den)
+    for i, (gi, name, _, _) in enumerate(sdisk_list, 1):
+        r2 = rs[i] * rs[i]
+        for d2, j in layout._pairs(i):
+            if d2 > r2:
+                num, den = d2 - r2, L * (2 * rs[i] + L)
+                if min_term is None or num * min_term[1] < min_term[0] * den:
+                    min_term = (num, den)
+                break
+            if j not in own_markers[gi]:
+                raise ReductionError(f"selector {gi}:{name} overlaps a "
+                                     f"foreign disk at {layout.center(j)}")
 
-    m2 = None
-    for i, (x1, y1) in enumerate(mk):
-        for x2, y2 in mk[i + 1:]:
-            d2 = (x1 - x2) ** 2 + (y1 - y2) ** 2
-            if d2 == 0:
-                raise ReductionError("distinct markers share a centre")
-            if m2 is None or d2 < m2:
-                m2 = d2
+    # the least squared distance between two marker centres
+    m2 = min(next(d2 for d2, j in layout._pairs(m) if j > S)
+             for m in range(S + 1, S + k + 1)) if k > 1 else None
 
     eps = F(1, 4 * k)
     if min_term is not None:

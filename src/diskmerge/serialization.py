@@ -9,16 +9,13 @@ equal objects always yield byte-identical text.
 from __future__ import annotations
 
 import json
-import re
 from typing import Any, Optional
 
-from .core import (Assignment, Disk, FormatError, Instance, Point,
+from .core import (_INT_RE, Assignment, Disk, FormatError, Instance, Point,
                    format_rational, parse_rational)
 from .formula import Clause, MonotoneFormula, Polarity, RectilinearRep
 
 DOCUMENT_VERSION = 1
-
-_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def _dump(obj: Any) -> str:
@@ -99,7 +96,7 @@ def serialize_instance(instance: Instance,
     return _dump(doc)
 
 
-def _parse_id(value: Any) -> Optional[int]:
+def _parse_int(value: Any) -> Optional[int]:
     """An int, or the canonical decimal string of one; ``None`` for values
     such as ``1.9``, ``true``, ``" 1"`` or ``"01"`` that ``int()`` would
     coerce."""
@@ -120,7 +117,7 @@ def parse_assignment(text: str) -> Assignment:
         raise FormatError("assignment document needs a 'target' map")
     mapping: dict[int, int] = {}
     for key, val in raw.items():
-        src, dst = _parse_id(key), _parse_id(val)
+        src, dst = _parse_int(key), _parse_int(val)
         if src is None or dst is None:
             raise FormatError(f"bad target entry {key!r}: {val!r}")
         mapping[src] = dst

@@ -77,13 +77,16 @@ class TestSolveAndVerify:
         if code:
             assert code == 2
 
-    def test_collinear_on_planar_is_input_error(self, paths):
+    def test_collinear_on_planar_is_input_error(self, paths, capsys):
         doc = ('{"version":1,"disks":['
                '{"id":1,"x":"0","y":"0","r":"1"},'
                '{"id":2,"x":"9","y":"0","r":"1"},'
                '{"id":3,"x":"0","y":"9","r":"1"}]}')
         inp = write(paths / "in.json", doc)
         assert run(["solve", "--collinear", inp]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: instance is not collinear\n"
 
     def test_max_n_guard(self, paths):
         inp = write(paths / "in.json",
@@ -100,8 +103,14 @@ class TestReduceCommands:
         assert inst.n == 6
         assert inst.radius(1) == 4  # 2s with s = 2
 
-    def test_reduce_partition_bad_values(self, paths):
-        assert run(["reduce", "partition", "--values", "1,x"]) == 1
+    def test_reduce_partition_bad_values(self, paths, capsys):
+        # int() would strip the space or newline, drop the underscore,
+        # read the Arabic-Indic digit and accept the sign or leading zero
+        for values in ("1,x", " 1,1", "1,1_0", "1,\u0663", "1,01", "1,+1",
+                       "1,1\n", " 1,1_0,\u0663"):
+            assert run(["reduce", "partition", "--values", values]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: bad --values list"), values
 
     def test_reduce_sat(self, paths):
         f, rep = single_positive_clause()
@@ -152,6 +161,8 @@ class TestOtherCommands:
         pytest.param(b"[" * 100_000 + b"]" * 100_000, id="deep-json"),
         pytest.param(b'{"version":1,"disks":[{"id":1,"x":"' + b"1" * 5000 +
                      b'","y":"0","r":"1"}]}', id="5000-digit-rational"),
+        pytest.param('{"version":1,"disks":[{"id":1,"x":"1\\n","y":"\u0663",'
+                     '"r":"1"}]}'.encode(), id="non-ascii-numerals"),
     ])
     def test_bad_input_is_one_error_line(self, paths, capsys, raw):
         inp = paths / "in.json"

@@ -66,6 +66,10 @@ class TestInstanceDocuments:
         # a repeated key is rejected, not resolved to its last value
         '{"version":1,"disks":[{"id":1,"x":"0","x":"5","y":"0","r":"1"}]}',
         '{"version":1,"disks":[],"disks":[{"id":1,"x":"0","y":"0","r":"1"}]}',
+        # ASCII digits only, and nothing after the last one
+        '{"version":1,"disks":[{"id":1,"x":"1\\n","y":"0","r":"1"}]}',
+        '{"version":1,"disks":[{"id":1,"x":"0","y":"\u0663","r":"1"}]}',
+        '{"version":1,"disks":[{"id":1,"x":"0","y":"0","r":"1/\u0662"}]}',
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(FormatError):

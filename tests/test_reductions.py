@@ -8,10 +8,12 @@ from itertools import product
 import pytest
 
 from diskmerge.core import (Assignment, Disk, FormatError, Instance, Point,
-                            verify_proper, verify_uproper)
+                            _common_scale, _scaled, verify_proper,
+                            verify_uproper)
 from diskmerge.fixtures import (FORMULA_FIXTURES, single_negative_clause,
                                 three_clause_formula)
-from diskmerge.formula import grid_embed
+from diskmerge.formula import (Clause, MonotoneFormula, Polarity,
+                               RectilinearRep, grid_embed)
 from diskmerge.gadgets import GadgetKind, Pose, build_gadget, pose_at
 from diskmerge.reduction import (ReductionError, assemble,
                                  build_assignment_from_sat,
@@ -72,6 +74,171 @@ class TestAssemble:
         b = build_gadget(GadgetKind.INPUT, pose_at(F(1, 10), 0))
         with pytest.raises(ReductionError):
             assemble([a, b])
+
+
+def reference_assemble(gadgets):
+    """The all-pairs ``assemble``: every selector pair, and every selector
+    against every marker centre and every other selector."""
+    sdisk_list = []
+    owners = {}
+    for gi, g in enumerate(gadgets):
+        for name, p, r in g.sdisks:
+            sdisk_list.append((gi, name, p, r))
+        for name, p in list(g.mdisks) + list(g.ports):
+            owners.setdefault(p, []).append((gi, name))
+
+    if any(len(v) > 2 for v in owners.values()):
+        raise ReductionError("a port is shared by more than two gadgets")
+    marker_centers = list(owners)
+    k = len(marker_centers)
+    if k == 0:
+        raise ReductionError("no marker disks")
+
+    centres = [c for _, _, c, _ in sdisk_list] + marker_centers
+    L = _common_scale([r for *_, r in sdisk_list]
+                      + [v for p in centres for v in (p.x, p.y)])
+    sel = [(_scaled(c.x, L), _scaled(c.y, L), _scaled(r, L))
+           for _, _, c, r in sdisk_list]
+    mk = [(_scaled(p.x, L), _scaled(p.y, L)) for p in marker_centers]
+    own_markers = [set() for _ in gadgets]
+    for m, p in enumerate(marker_centers):
+        for gi, _ in owners[p]:
+            own_markers[gi].add(m)
+
+    for i, (x1, y1, r1) in enumerate(sel):
+        for j in range(i + 1, len(sel)):
+            x2, y2, r2 = sel[j]
+            m = max(r1, r2)
+            if (x1 - x2) ** 2 + (y1 - y2) ** 2 < m * m:
+                raise ReductionError("selectors too close")
+
+    min_term = None
+    for i, (gi, name, _, _) in enumerate(sdisk_list):
+        x, y, r = sel[i]
+        r2 = r * r
+        den = L * (2 * r + L)
+        others = [(q, m in own_markers[gi]) for m, q in enumerate(mk)]
+        others += [(s[:2], False) for j, s in enumerate(sel) if j != i]
+        for (qx, qy), is_own in others:
+            d2 = (qx - x) ** 2 + (qy - y) ** 2
+            if d2 <= r2:
+                if is_own:
+                    continue
+                raise ReductionError("selector overlaps a foreign disk")
+            num = d2 - r2
+            if min_term is None or num * min_term[1] < min_term[0] * den:
+                min_term = (num, den)
+
+    m2 = None
+    for i, (x1, y1) in enumerate(mk):
+        for x2, y2 in mk[i + 1:]:
+            d2 = (x1 - x2) ** 2 + (y1 - y2) ** 2
+            if m2 is None or d2 < m2:
+                m2 = d2
+
+    eps = F(1, 4 * k)
+    if min_term is not None:
+        eps = min(eps, F(min_term[0], min_term[1] * k))
+    if m2 is not None:
+        eps = min(eps, min(F(m2, L * L), F(1)) / (2 * k))
+
+    disks = []
+    point_id = {}
+    for g in gadgets:
+        for _, p, r in g.sdisks:
+            disks.append(Disk(len(disks) + 1, p, r))
+        for _, p in list(g.mdisks) + list(g.ports):
+            if p not in point_id:
+                disks.append(Disk(len(disks) + 1, p, eps))
+                point_id[p] = len(disks)
+    return eps, Instance(disks)
+
+
+_SIGNED_PERMUTATIONS = [(a, b, c, d) for a, b, c, d in
+                        product((-1, 0, 1), repeat=4)
+                        if abs(a) + abs(b) == 1 and abs(c) + abs(d) == 1
+                        and a * c + b * d == 0]
+
+
+def random_gadget(rng):
+    """A random gadget kind, signed-permutation pose matrix and set of
+    options, as a function from an offset to the gadget placed there."""
+    kind = rng.choice(list(GadgetKind))
+    matrix = rng.choice(_SIGNED_PERMUTATIONS)
+    options = {}
+    if kind is GadgetKind.INPUT:
+        options["with_absorber"] = rng.random() < 0.5
+    elif kind is GadgetKind.COPY6:
+        options["drop_ports"] = [n for n in ("out_e", "out_n", "out_s")
+                                 if rng.random() < 0.3]
+    elif kind is GadgetKind.DISJUNCTION:
+        options["drop_ports"] = rng.sample(["w", "s", "e"], rng.randint(0, 2))
+    return lambda offset: build_gadget(kind, Pose(matrix, offset), **options)
+
+
+def random_layout(rng):
+    """One to four random gadgets at offsets with denominators 1..10.  In
+    every third layout the last gadget instead puts one of its disks
+    exactly on the base circle of a selector of an earlier gadget."""
+    gadgets = []
+    for _ in range(rng.randint(1, 4)):
+        den = rng.randint(1, 10)
+        offset = Point(F(rng.randint(-4 * den, 4 * den), den),
+                       F(rng.randint(-4 * den, 4 * den), den))
+        gadgets.append(random_gadget(rng)(offset))
+    if len(gadgets) > 1 and rng.random() < 1 / 3:
+        _, c, r = rng.choice([s for g in gadgets[:-1] for s in g.sdisks])
+        place = random_gadget(rng)
+        origin = place(Point(F(0), F(0)))
+        q = rng.choice([p for _, p, _ in origin.sdisks] +
+                       [p for _, p in origin.mdisks + origin.ports])
+        dx, dy = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+        gadgets[-1] = place(Point(c.x + dx * r - q.x, c.y + dy * r - q.y))
+    return gadgets
+
+
+def _assemble_or_none(assembler, gadgets):
+    try:
+        return assembler(gadgets)
+    except ReductionError:
+        return None
+
+
+def chain_formula(num_variables):
+    """Variables on segments (10v, 10v+9) with legs at columns 10v+2 and
+    10v+7; a positive clause (v, v+1) on row 1 for each odd v and a
+    negative one on row -1 for each even v."""
+    clauses = [Clause(Polarity.POSITIVE if v % 2 else Polarity.NEGATIVE,
+                      (v, v + 1)) for v in range(1, num_variables)]
+    rep = RectilinearRep(
+        tuple((10 * v, 10 * v + 9) for v in range(1, num_variables + 1)),
+        tuple(1 if v % 2 else -1 for v in range(1, num_variables)),
+        tuple((10 * v + 7, 10 * v + 12) for v in range(1, num_variables)))
+    return MonotoneFormula(num_variables, tuple(clauses)), rep
+
+
+class TestAssembleReference:
+    def test_random_layouts_match_all_pairs(self):
+        rng = random.Random(1200)
+        rejected = 0
+        for _ in range(400):
+            gadgets = random_layout(rng)
+            want = _assemble_or_none(reference_assemble, gadgets)
+            got = _assemble_or_none(assemble, gadgets)
+            if want is None:
+                rejected += 1
+                assert got is None
+            else:
+                assert got is not None
+                assert (got.epsilon, got.instance) == want
+        assert 100 <= rejected <= 300
+
+    def test_chain_formula_matches_all_pairs(self):
+        f, rep = chain_formula(20)
+        art = reduce_sat(f, rep)
+        assert art.instance.n >= 800
+        assert (art.epsilon, art.instance) == \
+            reference_assemble(art.gadgets)
 
 
 def port_states(kind):

@@ -333,6 +333,24 @@ class TestRelaxedOracle:
         # an isolated disk: the root, then the leaf that selects it
         assert solve_exact_rmcmd(mk((0, 0, 1))).stats == {"checked": 2}
 
+    def test_relaxed_groups_interleave_on_a_line(self):
+        # along the line the MAX optimum reads [1, 3, 3, 2, 3, 2, 2]:
+        # disk 5 (x = 17/2) merges into disk 3 past disk 6 (x = 8), which
+        # merges into disk 2, so no DP over contiguous blocks finds it;
+        # both aggregates end at 9/2, the distance from disk 2 to disk 3
+        inst = Instance([Disk(i, Point(x, F(0)), r) for i, x, r in (
+            (1, F(1, 2), F(1, 2)), (2, F(10), F(5, 4)),
+            (3, F(11, 2), F(7, 4)), (4, F(7), F(3, 2)),
+            (5, F(17, 2), F(5, 4)), (6, F(8), F(7, 4)),
+            (7, F(9), F(3, 2)))])
+        relaxed = solve_exact_rmcmd(inst, MAX)
+        assert (relaxed.cardinality, relaxed.assignment.target) == \
+            (3, (1, 2, 3, 3, 3, 2, 2))
+        assert verify_uproper(inst, relaxed.assignment, MAX).ok
+        assert solve_exact_rmcmd(inst, SUM).cardinality == 2
+        assert solve_collinear(inst, MAX).cardinality == 2
+        assert solve_exact_mcmd(inst, MAX).cardinality == 2
+
 
 class TestCollinearityCheck:
     def test_accepts_any_line(self):
