@@ -29,8 +29,8 @@ from .transforms import PartitionInput, equalize_radii, reduce_partition
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        # one line, like every input error; --help shows the usage
+        print(f"error: {' '.join(message.splitlines())}", file=sys.stderr)
         raise SystemExit(1)
 
 

@@ -23,7 +23,9 @@ Neighbour order is lazy.  One resumable sweep per disk
 id)`` order of :meth:`Instance.neighbor_sequence` and computes only as far
 as its caller reads, so the reach walks, the prefix check of
 :func:`verify_proper` and the solvers stop at the first neighbour out of
-reach instead of sorting all ``n`` disks for every disk.
+reach instead of sorting all ``n`` disks for every disk.  Both verifiers
+check disjointness the same way: each selected disk reads its walk only
+as far as a pair could fail, instead of testing all selected pairs.
 
 Inputs and outputs are exact :class:`fractions.Fraction` values.  Inside,
 :class:`Instance` scales every coordinate and radius by ``L``, the lcm of
@@ -408,16 +410,24 @@ def _check_shape(instance: Instance, assignment: Assignment,
 def _check_disjoint(instance: Instance,
                     groups: dict[int, tuple[tuple[int, ...], int]],
                     mode: DisjointnessMode, violations: list[str]) -> None:
-    selected = list(groups)
-    for a in range(len(selected)):
-        for b in range(a + 1, len(selected)):
-            i, j = selected[a], selected[b]
-            if not centre_disjoint(instance._d2(i, j), groups[i][1],
-                                   groups[j][1], mode):
-                violations.append(
-                    f"selected disks {i} and {j} are not centre-disjoint "
-                    f"({mode.value} rule)"
-                )
+    """Report the selected pairs that are not centre-disjoint, ascending.
+    A failing pair has ``d2 < max**2`` (SUM: ``(a_i + a_j)**2 <= (2
+    max)**2``), so the disk of larger ``(a, id)`` meets it in its walk
+    before ``a**2`` (SUM: ``(2a)**2``) and tests it there, once."""
+    agg = {i: a for i, (_, a) in groups.items()}
+    failing = []
+    for i, a in agg.items():
+        limit = (a if mode is DisjointnessMode.MAX else 2 * a) ** 2
+        for d2, j in instance._pairs(i):
+            if d2 >= limit:
+                break
+            b = agg.get(j)
+            if b is not None and (b, j) < (a, i) and \
+                    not centre_disjoint(d2, a, b, mode):
+                failing.append((min(i, j), max(i, j)))
+    for i, j in sorted(failing):
+        violations.append(f"selected disks {i} and {j} are not "
+                          f"centre-disjoint ({mode.value} rule)")
 
 
 def verify_proper(instance: Instance, assignment: Assignment,
@@ -429,6 +439,8 @@ def verify_proper(instance: Instance, assignment: Assignment,
     a prefix of its neighbour sequence; walking that prefix in order, each
     centre must lie strictly inside the aggregate disk accumulated so far;
     and all selected pairs must be centre-disjoint under ``mode``.
+    Disjointness reads each walk out to the aggregate (twice it under
+    SUM); under MAX the reach walk has already released those neighbours.
     """
     violations: list[str] = []
     if not _check_shape(instance, assignment, violations):

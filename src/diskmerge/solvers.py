@@ -47,21 +47,6 @@ class SolveResult:
         return self.status == FEASIBLE
 
 
-@dataclass(frozen=True)
-class MergeWindow:
-    """Positional extent of a prefix merge for a collinear instance.
-
-    ``a``/``b`` are the left-most/right-most positions among the selected
-    disk and its merged prefix; ``A``/``B`` are the left-most/right-most
-    positions whose centres lie strictly inside the aggregate disk.
-    """
-
-    a: int
-    b: int
-    A: int
-    B: int
-
-
 def _search(instance: Instance, mode: DisjointnessMode, relaxed: bool,
             stats: dict) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Depth-first search over assignments; yields ``(cardinality,
@@ -276,10 +261,14 @@ def solve_collinear(
     disjointness rule can be applied exactly.
 
     There are at most ``n^2`` windows, one per position and feasible
-    prefix length.  They are indexed by their right end, so a transition
-    into window ``w`` examines only the windows that end at ``w.a - 1``
-    and belong to a disk left of ``w.A``: at most ``n^2`` of them, so
-    ``O(n^4)`` in all, and about ``n^3`` on dense unit-spaced lines.
+    prefix length: a tuple ``(a, b, A, B)`` of the outermost positions of
+    the disk and its prefix (``a``, ``b``) and of the centres strictly
+    inside its aggregate (``A``, ``B``), or ``None`` when a skipped
+    same-centre sibling leaves a gap, which no assignment completes.
+    Indexed by right end, a transition into ``(a, b, A, B)`` examines only
+    the windows that end at ``a - 1`` and belong to a disk left of ``A``:
+    at most ``n^2`` of them, so ``O(n^4)`` in all, and about ``n^3`` on
+    dense unit-spaced lines.
     ``stats["transitions"]`` counts those bucket entries examined and
     ``stats["entries"]`` the states reached.
     """
@@ -290,17 +279,14 @@ def solve_collinear(
     if n == 0:
         return SolveResult(FEASIBLE, 0, Assignment(()), {"transitions": 0})
 
-    pos_of = {disk_id: p for p, disk_id in enumerate(order, start=1)}
-    # positional views: position -> disk id
-    id_at = {p: disk_id for p, disk_id in enumerate(order, start=1)}
+    id_at = [0, *order]  # position -> disk id
+    pos_of = [0] * (n + 1)
+    for p, disk_id in enumerate(order, start=1):
+        pos_of[disk_id] = p
 
-    # feasible windows and aggregates per (position, prefix length).  A
-    # window may be None: with coincident centres a prefix can cover a
-    # non-contiguous range of positions (a same-centre sibling is skipped);
-    # such a prefix can never be completed to a full valid assignment, so
-    # the DP ignores it.
+    # windows[p][k]: the window of prefix k of the disk at position p
     aggs = [()] + [instance._reach(id_at[p]) for p in range(1, n + 1)]
-    windows: list[list[Optional[MergeWindow]]] = [[]]
+    windows: list[list[Optional[tuple[int, int, int, int]]]] = [[]]
     for p in range(1, n + 1):
         # the centres strictly inside prefix j's aggregate are the walk's
         # pairs with d2 < reach**2: a run from its start that lengthens
@@ -308,7 +294,7 @@ def solve_collinear(
         # the first centre outside the last aggregate).  On a line they
         # fill the positions A..B around p.
         pairs = instance._walk(id_at[p], len(aggs[p]) - 1)
-        wrow: list[Optional[MergeWindow]] = []
+        wrow = []
         lo = hi = A = B = p
         inside = 0
         for j, reach in enumerate(aggs[p]):
@@ -324,48 +310,47 @@ def solve_collinear(
                     elif q > B:
                         B = q
                     inside += 1
-                wrow.append(MergeWindow(lo, hi, A, B))
+                wrow.append((lo, hi, A, B))
             else:
                 wrow.append(None)
         windows.append(wrow)
 
-    # feasible windows by right end b, in ascending (t, k) order: a
-    # predecessor of window w ends at w.a - 1 and starts left of w.A
-    ending_at: list[list[tuple[int, int, MergeWindow]]] = [
-        [] for _ in range(n + 1)]
+    # (t, k, B_t) for the feasible windows by right end b, in ascending
+    # (t, k) order: a predecessor of window (a, b, A, B) ends at a - 1
+    # and starts left of A
+    ending_at: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
     for t in range(1, n + 1):
         for k, wt in enumerate(windows[t]):
             if wt is not None:
-                ending_at[wt.b].append((t, k, wt))
+                ending_at[wt[1]].append((t, k, wt[3]))
 
     value: dict[tuple[int, int, int, int], int] = {}
     pred: dict[tuple[int, int, int, int], Optional[tuple[int, int, int, int]]] = {}
     transitions = 0
 
     for y in range(1, n + 1):
-        for j in range(len(windows[y])):
-            w = windows[y][j]
+        for j, w in enumerate(windows[y]):
             if w is None:
                 continue
-            key = (w.b, y, w.B, j)
-            if w.a == 1:
+            a, b, A, B = w
+            key = (b, y, B, j)
+            if a == 1:
                 value[key] = 1
                 pred[key] = None
                 continue
-            for t, k, wt in ending_at[w.a - 1]:
-                if t >= w.A:
+            for t, k, Bt in ending_at[a - 1]:
+                if t >= A:
                     break
                 transitions += 1
-                # t < w.A and wt.B < y: neither centre lies strictly
-                # inside the other aggregate, which is the MAX rule
-                if wt.B >= y:
+                # t < A and Bt < y: neither centre lies strictly inside
+                # the other aggregate, which is the MAX rule
+                if Bt >= y:
                     continue
-                if mode is DisjointnessMode.SUM and \
-                        not centre_disjoint(
-                            instance._d2(id_at[t], id_at[y]),
-                            aggs[t][k], aggs[y][j], mode):
+                if mode is DisjointnessMode.SUM and not centre_disjoint(
+                        instance._d2(id_at[t], id_at[y]),
+                        aggs[t][k], aggs[y][j], mode):
                     continue
-                pkey = (w.a - 1, t, wt.B, k)
+                pkey = (a - 1, t, Bt, k)
                 prev = value.get(pkey)
                 if prev is not None and prev + 1 > value.get(key, 0):
                     value[key] = prev + 1

@@ -150,11 +150,25 @@ class TestOtherCommands:
                     "--seed", "9", "-o", out]) == 0
         assert parse_instance(Path(out).read_text(encoding="utf-8")).n == 4
 
-    def test_usage_errors_exit_one(self):
-        assert run([]) == 1
-        assert run(["bogus"]) == 1
-        assert run(["solve", "in.json"]) == 1  # neither --collinear nor --exact
-        assert run(["solve", "--collinear", "/nonexistent.json"]) == 1
+    def test_usage_errors_exit_one(self, capsys):
+        for argv in ([], ["bogus"],
+                     ["solve", "in.json"],  # neither --collinear nor --exact
+                     ["equalize", "--r", "-x", "in.json"],  # --r, no value
+                     ["solve", "--exact", "in.json", "extra\nline"],
+                     ["solve", "--collinear", "/nonexistent.json"]):
+            assert run(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1, captured.err
+
+    def test_help_prints_usage_and_exits_zero(self, capsys):
+        assert run(["--help"]) == 0
+        assert run(["solve", "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: diskmerge [-h]")
+        assert "usage: diskmerge solve" in captured.out
+        assert captured.err == ""
 
     @pytest.mark.parametrize("raw", [
         pytest.param(b'\xff{"version":1,"disks":[]}', id="non-utf8"),

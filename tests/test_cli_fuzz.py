@@ -1,5 +1,6 @@
-"""Fuzz of ``cli.run``: every document ends in exit 0, 1 or 2, and exit 1
-in exactly one ``error:`` line on stderr, never in an escaped exception."""
+"""Fuzz of ``cli.run``: every document and every command line ends in
+exit 0, 1 or 2, and exit 1 in exactly one ``error:`` line on stderr, never
+in an escaped exception."""
 
 import contextlib
 import io
@@ -104,6 +105,35 @@ COMMANDS = {
 }
 WRITES_FILE = {"render", "equalize", "reduce-sat"}
 
+# tokens an edit may insert: unknown, ambiguous or misplaced flags, flags
+# without their value, and extra positionals; "{dir}" is the work
+# directory, so that a token read as ``-o``'s value names a file there
+INSERTED = ["--bogus", "-z", "--m", "--mode", "--mode=cube", "--max-n=-1",
+            "--max-n", "--relaxed", "--exact", "--collinear", "--r=1",
+            "-o", "-h", "--", "-", "{dir}/missing.json", "{dir}/extra\nline",
+            "{dir}/doc0.json"]
+edits = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["drop", "dup"]), st.integers(0, 15)),
+    st.tuples(st.just("insert"), st.integers(0, 15),
+              st.sampled_from(INSERTED))), max_size=2)
+
+
+def edited(args, changes, workdir):
+    """``args`` with each edit applied: drop or duplicate the token at a
+    position, or insert a token there (positions wrap around)."""
+    args = list(args)
+    for op, at, *token in changes:
+        if op == "insert":
+            args.insert(at % (len(args) + 1),
+                        token[0].replace("{dir}", str(workdir)))
+        elif args:
+            at %= len(args)
+            if op == "drop":
+                del args[at]
+            else:
+                args.insert(at, args[at])
+    return args
+
 
 @st.composite
 def invocations(draw):
@@ -111,7 +141,8 @@ def invocations(draw):
     argv, valid = COMMANDS[name]
     if name == "equalize":
         argv = argv + ["--r=" + draw(st.sampled_from(TRICKY + RADII))]
-    return name, argv, [draw(corrupted(doc)) for doc in draw(valid)]
+    docs = [draw(corrupted(doc)) for doc in draw(valid)]
+    return name, argv, docs, draw(edits) if draw(st.booleans()) else []
 
 
 @pytest.fixture(scope="module")
@@ -123,16 +154,17 @@ def workdir(tmp_path_factory):
           suppress_health_check=[HealthCheck.too_slow])
 @given(invocations())
 def test_every_input_exits_cleanly(workdir, invocation):
-    name, argv, docs = invocation
+    name, argv, docs, changes = invocation
     paths = []
     for k, doc in enumerate(docs):
         path = workdir / f"doc{k}.json"
         path.write_bytes(doc)
         paths.append(str(path))
     out = ["-o", str(workdir / "out")] if name in WRITES_FILE else []
+    args = edited(argv + paths + out, changes, workdir)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = run(argv + paths + out)
+        code = run(args)
     assert code in (0, 1, 2)
     if code == 1:
         err = stderr.getvalue()

@@ -3,6 +3,7 @@
 import importlib
 import os
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import diskmerge
+from diskmerge import core
 from diskmerge.core import (Assignment, Disk, DisjointnessMode, FormatError,
                             Instance, Point, _merge_groups, _relaxed_walk,
                             aggregate_radius, cardinality, centre_disjoint,
@@ -481,6 +483,114 @@ class TestSweepWalk:
         for i in range(1, inst.n + 1):
             assert again.neighbor_sequence(i) == ref_neighbors(inst, i)
             assert again.reach(i) == ref_reach(inst, i)
+
+
+def reference_check_disjoint(instance, groups, mode, violations):
+    """The all-pairs disjointness check: every selected pair, ascending."""
+    selected = list(groups)
+    for a in range(len(selected)):
+        for b in range(a + 1, len(selected)):
+            i, j = selected[a], selected[b]
+            if not centre_disjoint(instance._d2(i, j), groups[i][1],
+                                   groups[j][1], mode):
+                violations.append(
+                    f"selected disks {i} and {j} are not centre-disjoint "
+                    f"({mode.value} rule)"
+                )
+
+
+def disjointness_cases(count):
+    """Seeded ``(rows, target)`` pairs with n = 1..14: quarter-grid centres
+    in the plane or on a line of direction (3, 4), centres shared from a
+    small pool, or each disk a sum of earlier radii away from an earlier
+    centre; radii k/4, so aggregates often equal a centre distance.  The
+    target selects every disk, a random set with random members, or
+    disks that each take a short prefix of their neighbour sequence."""
+    rng = random.Random(1313)
+
+    def quarter(lo, hi):
+        return F(rng.randint(4 * lo, 4 * hi), 4)
+
+    def radius():
+        return F(rng.randint(1, 12), 4)
+
+    for k in range(count):
+        n = rng.randint(1, 14)
+        kind = k % 4
+        if kind == 0:
+            rows = [(quarter(-3, 3), quarter(-3, 3), radius())
+                    for _ in range(n)]
+        elif kind == 1:
+            steps = [quarter(-2, 2) for _ in range(n)]
+            rows = [(3 * s, 4 * s, radius()) for s in steps]
+        elif kind == 2:
+            pool = [(quarter(-2, 2), quarter(-2, 2))
+                    for _ in range(max(1, n // 3))]
+            rows = [rng.choice(pool) + (radius(),) for _ in range(n)]
+        else:
+            rows = [(quarter(-2, 2), quarter(-2, 2), radius())]
+            while len(rows) < n:
+                x, y, r = rng.choice(rows)
+                gap = r + sum(row[2] for row in rng.sample(
+                    rows, rng.randint(0, min(2, len(rows)))))
+                dx, dy = rng.choice(((1, 0), (0, -1), (F(3, 5), F(4, 5))))
+                rows.append((x + gap * dx, y + gap * dy, radius()))
+        style = rng.randrange(3)
+        if style == 0:
+            target = list(range(1, n + 1))
+        elif style == 1:
+            chosen = [i for i in range(1, n + 1) if rng.random() < 0.5] \
+                or [rng.randint(1, n)]
+            target = [i if i in chosen else rng.choice(chosen)
+                      for i in range(1, n + 1)]
+        else:
+            inst = mk(*rows)
+            target = [0] * (n + 1)
+            for s in rng.sample(range(1, n + 1), n):
+                if target[s]:
+                    continue
+                target[s] = s
+                for j in inst.neighbor_sequence(s)[:rng.randint(0, 3)]:
+                    if target[j]:
+                        break
+                    target[j] = s
+            target = target[1:]
+        yield rows, tuple(target)
+
+
+class TestLocalDisjointness:
+    def test_matches_all_pairs_reference(self, monkeypatch):
+        # both verifiers report what they report with the all-pairs
+        # check, in the same order; each run order is rotated so that
+        # every (rule, mode) also runs first, on a cold instance
+        runs = [(mode, verify) for mode in (MAX, SUM)
+                for verify in (verify_proper, verify_uproper)]
+        cases = [(mk(*rows).disks, Assignment(target))
+                 for rows, target in disjointness_cases(4000)]
+        with monkeypatch.context() as patched:
+            patched.setattr(core, "_check_disjoint",
+                            reference_check_disjoint)
+            expected = []
+            for disks, phi in cases:
+                inst = Instance(disks)
+                expected.append({run: run[1](inst, phi, run[0]).violations
+                                 for run in runs})
+        failing = tangent = 0
+        for k, ((disks, phi), want) in enumerate(zip(cases, expected)):
+            inst = Instance(disks)
+            for mode, verify in runs[k % 4:] + runs[:k % 4]:
+                assert verify(inst, phi, mode).violations == \
+                    want[mode, verify], (disks, phi.target, mode)
+            groups = _merge_groups(inst, phi)
+            for mode in (MAX, SUM):
+                failing += any("centre-disjoint" in v
+                               for v in want[mode, verify_proper])
+                tangent += any(
+                    inst._d2(i, j) == (max(a, b) if mode is MAX else a + b)
+                    ** 2 for i, (_, a) in groups.items()
+                    for j, (_, b) in groups.items() if i < j)
+        # the corpus must hold failing pairs and exact contact
+        assert failing >= 2000 and tangent >= 1000, (failing, tangent)
 
 
 class TestRuleImplication:

@@ -1,5 +1,6 @@
 """Solver behaviour: oracles, the collinear dynamic program, helpers."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -10,8 +11,7 @@ from diskmerge.core import (Assignment, Disk, DisjointnessMode, Instance,
                             Point, centre_disjoint, verify_proper,
                             verify_uproper)
 from diskmerge.fixtures import chain_merge_instance, relaxed_only_instance
-from diskmerge.solvers import (FEASIBLE, INFEASIBLE, MergeWindow,
-                               collinearity_check,
+from diskmerge.solvers import (FEASIBLE, INFEASIBLE, collinearity_check,
                                enumerate_proper_assignments, solve_collinear,
                                solve_exact_mcmd, solve_exact_rmcmd)
 from diskmerge.transforms import (PartitionInput, equalize_radii,
@@ -119,10 +119,11 @@ ORACLE_CORPUS = oracle_corpus()
 
 def reference_collinear(instance, mode):
     """The collinear DP with a full-scan transition: every window
-    ``(t, k)`` with ``t < w.A`` is examined as a predecessor of ``w``, and
-    each prefix walks its ``A``/``B`` containment out from the disk.  The
-    reference for the indexed DP of ``solve_collinear``.  Returns
-    ``(status, cardinality, target, entries, transitions)``."""
+    ``(t, k)`` with ``t < A`` is examined as a predecessor of the window
+    ``(a, b, A, B)``, and each prefix walks its ``A``/``B`` containment
+    out from the disk.  The reference for the indexed DP of
+    ``solve_collinear``.  Returns ``(status, cardinality, target,
+    entries, transitions)``."""
     order = collinearity_check(instance)
     n = instance.n
     pos_of = {disk_id: p for p, disk_id in enumerate(order, start=1)}
@@ -145,7 +146,7 @@ def reference_collinear(instance, mode):
                     A -= 1
                 while B < n and instance._d2(i, id_at[B + 1]) < r2:
                     B += 1
-                wrow.append(MergeWindow(lo, hi, A, B))
+                wrow.append((lo, hi, A, B))
             else:
                 wrow.append(None)
         windows.append(wrow)
@@ -155,20 +156,21 @@ def reference_collinear(instance, mode):
         for j, w in enumerate(windows[y]):
             if w is None:
                 continue
-            key = (w.b, y, w.B, j)
-            if w.a == 1:
+            a, b, A, B = w
+            key = (b, y, B, j)
+            if a == 1:
                 value[key], pred[key] = 1, None
                 continue
-            for t in range(1, w.A):
+            for t in range(1, A):
                 for k, wt in enumerate(windows[t]):
                     transitions += 1
-                    if wt is None or wt.b != w.a - 1 or wt.B >= y:
+                    if wt is None or wt[1] != a - 1 or wt[3] >= y:
                         continue
                     if mode is SUM and not centre_disjoint(
                             instance._d2(id_at[t], id_at[y]),
                             aggs[t][k], aggs[y][j], mode):
                         continue
-                    pkey = (w.a - 1, t, wt.B, k)
+                    pkey = (a - 1, t, wt[3], k)
                     prev = value.get(pkey)
                     if prev is not None and prev + 1 > value.get(key, 0):
                         value[key], pred[key] = prev + 1, pkey
@@ -224,6 +226,27 @@ def dp_corpus():
 
 
 DP_CORPUS = dp_corpus()
+
+
+def bench_lines():
+    """Seeded lines of benchmark size: two criterion-8 sparse lines per
+    n = 60..120 by 10 and the dense unit lines n = 40..60 by 5."""
+    rng = random.Random(808)
+    cases = []
+    for n in range(60, 121, 10):
+        for _ in range(2):
+            xs = rng.sample(range(-4 * n, 4 * n + 1), n)
+            cases.append((f"sparse{n}", mk(*[
+                (x, 0, F(rng.randint(2, 10), 2)) for x in xs])))
+    for n in range(40, 61, 5):
+        cases.append((f"dense{n}", dense_line(n)))
+    return cases
+
+
+# sha256 of every bench_lines() solve in both modes, recorded before the
+# window table became plain tuples
+BENCH_LINES_DIGEST = \
+    "25b565c241ea94b01d1eda67058cbd9dc5f7ad5ff5bc0cc59ac68b6c2b013853"
 
 
 @st.composite
@@ -409,6 +432,20 @@ class TestSolveCollinear:
                     result.stats["entries"]) == \
                 (status, card, target, entries), name
             assert result.stats["transitions"] <= transitions, name
+
+    def test_bench_lines_pinned(self):
+        # optimum, tie-break and both counters, byte for byte
+        digest = hashlib.sha256()
+        for name, inst in bench_lines():
+            for mode in (MAX, SUM):
+                result = solve_collinear(inst, mode)
+                target = result.assignment.target if result.feasible \
+                    else None
+                digest.update(repr((
+                    name, mode.value, result.status, result.cardinality,
+                    target, result.stats["transitions"],
+                    result.stats["entries"])).encode())
+        assert digest.hexdigest() == BENCH_LINES_DIGEST
 
     @settings(max_examples=150, deadline=None)
     @given(shared_centre_lines())
