@@ -23,9 +23,12 @@ Neighbour order is lazy.  One resumable sweep per disk
 id)`` order of :meth:`Instance.neighbor_sequence` and computes only as far
 as its caller reads, so the reach walks, the prefix check of
 :func:`verify_proper` and the solvers stop at the first neighbour out of
-reach instead of sorting all ``n`` disks for every disk.  Both verifiers
-check disjointness the same way: each selected disk reads its walk only
-as far as a pair could fail, instead of testing all selected pairs.
+reach instead of sorting all ``n`` disks for every disk.  A reader asks
+for a count of neighbours or for every neighbour below a squared
+distance, in one call: a reach walk asks once per growth of its
+aggregate, not once per neighbour.  Both verifiers check disjointness
+the same way: each selected disk reads its walk, in one call, only as
+far as a pair could fail, instead of testing all selected pairs.
 
 Inputs and outputs are exact :class:`fractions.Fraction` values.  Inside,
 :class:`Instance` scales every coordinate and radius by ``L``, the lcm of
@@ -42,7 +45,7 @@ from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 # ASCII digits only, matched with fullmatch: ``\d`` would take any Unicode
 # digit and ``$`` a trailing newline
@@ -149,9 +152,6 @@ class Instance:
         ids = [d.id for d in disks]
         if ids != list(range(1, len(disks) + 1)):
             raise FormatError(f"disk ids must be exactly 1..n, got {ids}")
-        for d in disks:
-            if d.radius <= 0:
-                raise FormatError(f"disk {d.id} has non-positive radius")
         self.disks = disks
         self.n = len(disks)
         self._scale = L = _common_scale(
@@ -159,6 +159,9 @@ class Instance:
         self._x = (0,) + tuple(_scaled(d.center.x, L) for d in disks)
         self._y = (0,) + tuple(_scaled(d.center.y, L) for d in disks)
         self._r = (0,) + tuple(_scaled(d.radius, L) for d in disks)
+        for i in range(1, self.n + 1):  # L > 0 keeps each sign
+            if self._r[i] <= 0:
+                raise FormatError(f"disk {i} has non-positive radius")
         # sweep axis, set up by the first walk: ids sorted by (axis
         # coordinate, id), their coordinates, and each id's position
         self._order: list[int] = []
@@ -183,11 +186,13 @@ class Instance:
     def dist2(self, i: int, j: int) -> Fraction:
         return Fraction(self._d2(i, j), self._scale * self._scale)
 
-    def _walk(self, i: int, k: int) -> list[tuple[int, int]]:
+    def _walk(self, i: int, k: int, bound: int = 0,
+              ) -> list[tuple[int, int]]:
         """The pairs ``(_d2(i, j), j)`` of the other disks ``j`` in
         ascending order, released at least up to the ``k``-th (all of
-        them when ``k >= n - 1``).  The list is the walk's own: later
-        calls extend it in place, and callers must not change it.
+        them when ``k >= n - 1``) and through every pair with ``d2 <
+        bound``.  The list is the walk's own: later calls extend it in
+        place, and callers must not change it.
 
         A sweep along the wider of the x and y extents (Friedman, Baskett
         & Shustek, 1975): step outward from ``i``'s position in the axis
@@ -196,7 +201,10 @@ class Instance:
         ``g`` is the axis gap to the nearest unvisited disk.  Every
         unvisited disk lies at least that far, and equal distances wait
         until all of them are in the heap, which then releases them by
-        id.  Each call resumes where the last one stopped.
+        id.  The sweep stops once ``k`` pairs are out and ``g**2 >=
+        bound``, so a reader that knows how far it reads asks once, not
+        once per pair.  Each call resumes where the last one stopped, and
+        a call that asks for nothing new returns the list at once.
         """
         state = self._walks.get(i)
         if state is None:
@@ -211,9 +219,10 @@ class Instance:
                 for p, j in enumerate(order):
                     self._rank[j] = p
             p = self._rank[i]
-            state = self._walks[i] = [[], [], p - 1, p + 1]
-        done, heap, lo, hi = state
-        if len(done) >= k:
+            # the last field: every pair with d2 below it is released
+            state = self._walks[i] = [[], [], p - 1, p + 1, 0]
+        done, heap, lo, hi, released = state
+        if len(done) >= k and (bound <= released or len(done) == self.n - 1):
             return done
         order, coords, n = self._order, self._coords, self.n
         xs, ys = self._x, self._y
@@ -225,13 +234,14 @@ class Instance:
             elif hi < n:
                 q, g = hi, coords[hi] - a
             else:  # all visited: the heap holds the rest in order
-                while heap and len(done) < k:
+                while heap and (len(done) < k or heap[0][0] < bound):
                     done.append(heappop(heap))
+                g2 = heap[0][0] if heap else bound  # all below it are out
                 break
             g2 = g * g
             while heap and heap[0][0] < g2:
                 done.append(heappop(heap))
-            if len(done) >= k:
+            if len(done) >= k and g2 >= bound:
                 break
             j = order[q]
             if q == lo:
@@ -240,17 +250,8 @@ class Instance:
                 hi += 1
             dx, dy = xs[j] - x, ys[j] - y
             heappush(heap, (dx * dx + dy * dy, j))
-        state[2], state[3] = lo, hi
+        state[2:] = lo, hi, g2
         return done
-
-    def _pairs(self, i: int) -> Iterator[tuple[int, int]]:
-        """The pairs of :meth:`_walk`, one at a time, each computed only
-        when the caller asks for it."""
-        pairs = self._walk(i, 1)
-        for k in range(self.n - 1):
-            if k == len(pairs):
-                self._walk(i, k + 1)  # extends pairs
-            yield pairs[k]
 
     def _neighbor_prefix(self, i: int, k: int) -> tuple[int, ...]:
         """The first ``k`` entries of :meth:`neighbor_sequence`."""
@@ -268,22 +269,27 @@ class Instance:
         entry is then the least ``U`` with ``U = r_i + sum r_j`` over the
         ``j != i`` at ``_d2(i, j) <= U**2``, and the neighbours it takes
         are exactly those.
+
+        Each round asks :meth:`_walk` for every neighbour below the
+        aggregate so far (``d2 < total**2``, or ``d2 < total**2 + 1`` under
+        the relaxed rule, since ``d2`` is an int) and takes them in order.
+        The walk ends at a neighbour beyond the aggregate, or after a
+        round that releases nothing new.
         """
         aggs = self._reaches.get((i, strict))
         if aggs is None:
             r = self._r
             total = r[i]
             walk = [total]
-            pairs = self._walk(i, 1)
-            for k in range(self.n - 1):
-                if k == len(pairs):
-                    self._walk(i, k + 1)  # extends pairs
-                d2, j = pairs[k]
-                limit = total * total
-                if d2 > limit or strict and d2 == limit:
-                    break
-                total += r[j]
+            slack = 0 if strict else 1  # relaxed: d2 <= total**2
+            pairs = self._walk(i, 0, total * total + slack)
+            k = 0
+            while k < len(pairs) and pairs[k][0] < total * total + slack:
+                total += r[pairs[k][1]]
                 walk.append(total)
+                k += 1
+                if k == len(pairs):  # next round: extends pairs
+                    self._walk(i, 0, total * total + slack)
             aggs = self._reaches[i, strict] = tuple(walk)
         return aggs
 
@@ -418,7 +424,7 @@ def _check_disjoint(instance: Instance,
     failing = []
     for i, a in agg.items():
         limit = (a if mode is DisjointnessMode.MAX else 2 * a) ** 2
-        for d2, j in instance._pairs(i):
+        for d2, j in instance._walk(i, 0, limit):
             if d2 >= limit:
                 break
             b = agg.get(j)

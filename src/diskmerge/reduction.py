@@ -14,6 +14,7 @@ between satisfying variable values and merge assignments.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -67,8 +68,9 @@ def assemble(gadgets: Sequence[Gadget]) -> Assembly:
 
     The checks read the neighbour walks of one private Instance of the
     selectors and the distinct marker centres (radius 1, which leaves
-    ``L`` as it is): each selector stops at its first disk beyond its
-    base radius, each marker at its nearest marker.
+    ``L`` as it is): each selector reads every disk within its base
+    radius and then its first disk beyond it, and each marker reads only
+    the disks nearer than the closest pair of markers found so far.
     """
     sdisk_list: list[tuple[int, str, Point, Fraction]] = []
     owners: dict[Point, list[tuple[int, str]]] = {}
@@ -101,19 +103,29 @@ def assemble(gadgets: Sequence[Gadget]) -> Assembly:
     min_term: Optional[tuple[int, int]] = None
     for i, (gi, name, _, _) in enumerate(sdisk_list, 1):
         r2 = rs[i] * rs[i]
-        for d2, j in layout._pairs(i):
-            if d2 > r2:
-                num, den = d2 - r2, L * (2 * rs[i] + L)
-                if min_term is None or num * min_term[1] < min_term[0] * den:
-                    min_term = (num, den)
-                break
+        pairs = layout._walk(i, 0, r2 + 1)
+        inside = bisect_left(pairs, (r2 + 1,))  # the disks at d2 <= r2
+        for _, j in pairs[:inside]:
             if j not in own_markers[gi]:
                 raise ReductionError(f"selector {gi}:{name} overlaps a "
                                      f"foreign disk at {layout.center(j)}")
+        if inside < layout.n - 1:  # the nearest disk beyond r
+            d2 = layout._walk(i, inside + 1)[inside][0]
+            num, den = d2 - r2, L * (2 * rs[i] + L)
+            if min_term is None or num * min_term[1] < min_term[0] * den:
+                min_term = (num, den)
 
     # the least squared distance between two marker centres
-    m2 = min(next(d2 for d2, j in layout._pairs(m) if j > S)
-             for m in range(S + 1, S + k + 1)) if k > 1 else None
+    m2 = None
+    if k > 1:
+        m2 = layout._d2(S + 1, S + 2)
+        for m in range(S + 1, S + k + 1):
+            for d2, j in layout._walk(m, 0, m2):
+                if d2 >= m2:
+                    break
+                if j > S:
+                    m2 = d2
+                    break
 
     eps = F(1, 4 * k)
     if min_term is not None:

@@ -428,16 +428,47 @@ def sweep_instances(draw):
 @st.composite
 def sweep_reads(draw):
     """An instance and an interleaving of reads: prefixes of random
-    length, strict and relaxed reaches and full orders, of random disks,
-    with pickle round trips in between."""
+    length, strict and relaxed reaches, full orders and reads bounded by a
+    squared distance, of random disks, with pickle round trips in
+    between.  Bounds sit on, just below or just above a squared distance
+    or a squared axis gap, or anywhere up to past the largest distance."""
     inst = draw(sweep_instances())
     n = inst.n
+    ids = range(1, n + 1)
+    d2s = sorted({v for i in ids for j in ids for v in (
+        inst._d2(i, j), (inst._x[i] - inst._x[j]) ** 2,
+        (inst._y[i] - inst._y[j]) ** 2)})
+    bounds = st.one_of(
+        st.builds(lambda v, e: max(v + e, 0), st.sampled_from(d2s),
+                  st.sampled_from((-1, 0, 1))),
+        st.integers(0, d2s[-1] + 1))
     op = st.one_of(
-        st.tuples(st.just("prefix"), st.integers(1, n), st.integers(0, n)),
+        st.tuples(st.just("prefix"), st.integers(1, n), st.integers(0, n),
+                  st.just(0)),
+        st.tuples(st.just("bounded"), st.integers(1, n), st.integers(0, n),
+                  bounds),
         st.tuples(st.sampled_from(("reach", "relaxed", "full")),
-                  st.integers(1, n), st.just(0)),
-        st.tuples(st.just("pickle"), st.just(1), st.just(0)))
+                  st.integers(1, n), st.just(0), st.just(0)),
+        st.tuples(st.just("pickle"), st.just(1), st.just(0), st.just(0)))
     return inst, draw(st.lists(op, min_size=1, max_size=3 * n + 3))
+
+
+def check_cold_bounded_read(disks, i, bound):
+    """On a fresh walk, a read bounded by ``bound`` alone visits exactly
+    the axis positions at squared gap below ``bound`` and releases exactly
+    the pairs below the squared gap of the nearest position it left
+    unvisited (below ``bound`` when it visited them all)."""
+    inst = Instance(disks)
+    pairs = inst._walk(i, 0, bound)
+    lo, hi = inst._walks[i][2:4]
+    coords, p = inst._coords, inst._rank[i]
+    gap2 = {q: (c - coords[p]) ** 2 for q, c in enumerate(coords) if q != p}
+    visited = set(range(lo + 1, hi)) - {p}
+    assert visited == {q for q, g2 in gap2.items() if g2 < bound}
+    stop = min((g2 for q, g2 in gap2.items() if q not in visited),
+               default=bound)
+    assert pairs == sorted((inst._d2(i, j), j) for j in range(1, inst.n + 1)
+                           if j != i and inst._d2(i, j) < stop)
 
 
 class TestSweepWalk:
@@ -446,10 +477,18 @@ class TestSweepWalk:
     def test_reads_match_full_sort_reference(self, case):
         inst, reads = case
         scale = inst._scale
-        for kind, i, k in reads:
+        for kind, i, k, bound in reads:
             if kind == "prefix":
                 assert inst._neighbor_prefix(i, k) == \
                     ref_neighbors(inst, i)[:k]
+            elif kind == "bounded":
+                pairs = inst._walk(i, k, bound)
+                assert tuple(j for _, j in pairs) == \
+                    ref_neighbors(inst, i)[:len(pairs)]
+                assert len(pairs) >= min(k, inst.n - 1)
+                assert len(pairs) >= sum(inst._d2(i, j) < bound for j in
+                                         range(1, inst.n + 1) if j != i)
+                check_cold_bounded_read(inst.disks, i, bound)
             elif kind == "reach":
                 assert tuple(F(t, scale) for t in inst._reach(i)) == \
                     ref_reach(inst, i)
@@ -473,6 +512,23 @@ class TestSweepWalk:
             pairs = inst._walk(i, inst.n)
             assert [j for _, j in pairs] == list(ref_neighbors(inst, i))
             assert all(d2 == inst._d2(i, j) for d2, j in pairs)
+
+    def test_reach_walks_once_per_round(self, monkeypatch):
+        # every reach of a dense unit line: one walk call per growth
+        # round of each aggregate (29,900 calls when it asked per pair)
+        calls = 0
+        walk = Instance._walk
+
+        def counted(self, *args):
+            nonlocal calls
+            calls += 1
+            return walk(self, *args)
+
+        monkeypatch.setattr(Instance, "_walk", counted)
+        inst = mk(*[(x, 0, F(3, 2)) for x in range(200)])
+        for i in range(1, inst.n + 1):
+            assert len(inst._reach(i)) == inst.n  # it takes every disk
+        assert calls < 2000
 
     def test_pickle_resumes_partial_walk(self):
         inst = mk(*[(x, 2 * x, 1) for x in (5, -3, 0, 4, -1, 2, -4, 1)])

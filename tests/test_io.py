@@ -89,6 +89,16 @@ class TestAssignmentDocuments:
         assert parse_assignment(text) == a
         assert serialize_assignment(parse_assignment(text)) == text
 
+    @settings(max_examples=100)
+    @given(st.integers(0, 12).flatmap(lambda n: st.lists(
+        st.integers(1, max(n, 1)), min_size=n, max_size=n)))
+    def test_canonical_text_is_fixed_point(self, target):
+        # any total map, idempotent or not, e.g. 1 -> 2 -> 3
+        phi = Assignment(target)
+        text = serialize_assignment(phi)
+        assert parse_assignment(text) == phi
+        assert serialize_assignment(parse_assignment(text)) == text
+
     @pytest.mark.parametrize("text", [
         '{"version":1}',
         '{"version":1,"target":{"1":"1","3":"3"}}',   # gapped ids
@@ -114,6 +124,16 @@ class TestFormulaDocuments:
         f, rep = three_clause_formula()
         assert parse_formula(serialize_formula(f)) == f
         assert parse_rep(serialize_rep(rep)) == rep
+
+    @pytest.mark.parametrize("name", sorted(FORMULA_FIXTURES))
+    def test_canonical_text_is_fixed_point(self, name):
+        f, rep = FORMULA_FIXTURES[name]()
+        text = serialize_formula(f)
+        assert parse_formula(text) == f
+        assert serialize_formula(parse_formula(text)) == text
+        text = serialize_rep(rep)
+        assert parse_rep(text) == rep
+        assert serialize_rep(parse_rep(text)) == text
 
     def test_rejects_bad_polarity(self):
         text = ('{"version":1,"variables":1,'
