@@ -74,14 +74,11 @@ def _search(instance: Instance, mode: DisjointnessMode, relaxed: bool,
     as is.  ``_relaxed_walk`` is not monotone in its members, so relaxed
     leaves are walked.  The relaxed search is an optimiser: it cuts a
     subtree whose ``selected + undecided`` is at most the best cardinality
-    found, so each leaf it yields beats the one before.
+    found (-1 before the first leaf, so the empty leaf of ``n == 0`` is
+    kept), so each leaf it yields beats the one before.
     ``stats["checked"]`` counts search nodes once the search is done.
     """
     n, r = instance.n, instance._r
-    d2 = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            d2[i][j] = d2[j][i] = instance._d2(i, j)
     # candidate targets of each disk i as (t, k), ascending in t: i itself
     # (k = 0), or a t whose walk under the rule takes i as its k-th
     # neighbour; strict: attaching i merges t's first k neighbours
@@ -97,7 +94,7 @@ def _search(instance: Instance, mode: DisjointnessMode, relaxed: bool,
     agg = [0] * (n + 1)                 # partial aggregates of selected disks
     members: list[list[int]] = [[] for _ in range(n + 1)]
     selected: list[int] = []
-    best_card = 0
+    best_card = -1                      # the empty leaf of n == 0 counts
     checked = 0
 
     def rec(i: int, undecided: int):
@@ -126,8 +123,9 @@ def _search(instance: Instance, mode: DisjointnessMode, relaxed: bool,
                 new, grown = seqs[t][len(members[t]):k], reach[t][k]
                 if any(target[j] for j in new):
                     continue
-            if not all(s == t or centre_disjoint(d2[t][s], grown, agg[s],
-                                                 mode) for s in selected):
+            if not all(s == t or centre_disjoint(instance._d2(t, s), grown,
+                                                 agg[s], mode)
+                       for s in selected):
                 continue
             previous = agg[t]
             target[t] = t
@@ -171,18 +169,17 @@ def solve_exact_mcmd(
     lexicographically smallest target tuple: the first leaf of maximum
     cardinality that :func:`_search` yields.  ``INFEASIBLE`` when no
     assignment is accepted.  ``stats["accepted"]`` counts the accepted
-    assignments.
+    assignments.  The empty instance has one, the empty assignment, so it
+    is ``FEASIBLE`` with cardinality 0 and ``{"accepted": 1}``.
     """
     n = instance.n
     if n > max_n:
         raise ValueError(f"instance size {n} exceeds oracle limit {max_n}")
-    if n == 0:
-        return SolveResult(FEASIBLE, 0, Assignment(()))
     best: Optional[tuple[int, ...]] = None
     best_card = count = 0
     for card, target in _search(instance, mode, False, {}):
         count += 1
-        if card > best_card:
+        if best is None or card > best_card:
             best_card, best = card, target
     if best is None:
         return SolveResult(INFEASIBLE, 0, None, {"accepted": 0})
@@ -201,13 +198,13 @@ def solve_exact_rmcmd(
     its cardinality cut keeps ties out, so the last leaf is the
     maximum-cardinality accepted assignment with the lexicographically
     smallest target tuple.  ``INFEASIBLE`` when no assignment is accepted.
-    ``stats["checked"]`` counts search nodes.
+    ``stats["checked"]`` counts search nodes.  The empty instance is one
+    node, the leaf of the empty assignment: ``FEASIBLE`` with cardinality
+    0 and ``{"checked": 1}``.
     """
     n = instance.n
     if n > max_n:
         raise ValueError(f"instance size {n} exceeds oracle limit {max_n}")
-    if n == 0:
-        return SolveResult(FEASIBLE, 0, Assignment(()))
     stats: dict = {}
     best: Optional[tuple[int, tuple[int, ...]]] = None
     for best in _search(instance, mode, True, stats):
@@ -254,39 +251,48 @@ def solve_collinear(
 ) -> SolveResult:
     """Optimal strict-rules solver for collinear instances.
 
-    Dynamic program over states ``(x, y, z)``: the first ``x`` disks along
-    the line are fully assigned, ``y`` is the right-most selected disk and
-    ``z`` the right-most disk whose centre its aggregate covers.  States
-    additionally track the prefix length of ``y`` so that the ``SUM``
-    disjointness rule can be applied exactly.
-
-    There are at most ``n^2`` windows, one per position and feasible
-    prefix length: a tuple ``(a, b, A, B)`` of the outermost positions of
-    the disk and its prefix (``a``, ``b``) and of the centres strictly
-    inside its aggregate (``A``, ``B``), or ``None`` when a skipped
+    The paper's dynamic program runs over states ``(x, y, z)`` plus a
+    prefix length ``j``: the first ``x`` disks along the line are fully
+    assigned, ``y`` is the right-most selected disk, ``z`` the right-most
+    disk whose centre its aggregate covers, and ``j`` the length of
+    ``y``'s prefix, which the ``SUM`` disjointness rule needs.  Such a
+    state is fixed by its window ``(y, j)``: a tuple ``(a, b, A, B)`` of
+    the outermost positions of the disk and its prefix (``a``, ``b``) and
+    of the centres strictly inside its aggregate (``A``, ``B``), so
+    ``x = b`` and ``z = B``.  The window is ``None`` when a skipped
     same-centre sibling leaves a gap, which no assignment completes.
+    There are at most ``n^2`` windows, one per position and feasible
+    prefix length.  The DP finds a longest chain of windows that starts
+    at ``a = 1`` and ends at ``b = n``, in which each window starts one
+    past the ``b`` of the window before and is centre-disjoint from it.
+
     Indexed by right end, a transition into ``(a, b, A, B)`` examines only
     the windows that end at ``a - 1`` and belong to a disk left of ``A``:
     at most ``n^2`` of them, so ``O(n^4)`` in all, and about ``n^3`` on
     dense unit-spaced lines.
     ``stats["transitions"]`` counts those bucket entries examined and
-    ``stats["entries"]`` the states reached.
+    ``stats["entries"]`` the windows that some chain reaches.
     """
     order = collinearity_check(instance)
     if order is None:
         raise ValueError("instance is not collinear")
     n = instance.n
     if n == 0:
-        return SolveResult(FEASIBLE, 0, Assignment(()), {"transitions": 0})
+        return SolveResult(FEASIBLE, 0, Assignment(()),
+                           {"transitions": 0, "entries": 0})
 
     id_at = [0, *order]  # position -> disk id
     pos_of = [0] * (n + 1)
     for p, disk_id in enumerate(order, start=1):
         pos_of[disk_id] = p
 
-    # windows[p][k]: the window of prefix k of the disk at position p
+    # windows[p][k]: the window of prefix k of the disk at position p;
+    # ending_at[b]: (p, k, B) for the feasible windows that end at b, in
+    # ascending (p, k) order -- a predecessor of window (a, b, A, B) ends
+    # at a - 1 and starts left of A
     aggs = [()] + [instance._reach(id_at[p]) for p in range(1, n + 1)]
     windows: list[list[Optional[tuple[int, int, int, int]]]] = [[]]
+    ending_at: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
     for p in range(1, n + 1):
         # the centres strictly inside prefix j's aggregate are the walk's
         # pairs with d2 < reach**2: a run from its start that lengthens
@@ -311,33 +317,26 @@ def solve_collinear(
                         B = q
                     inside += 1
                 wrow.append((lo, hi, A, B))
+                ending_at[hi].append((p, j, B))
             else:
                 wrow.append(None)
         windows.append(wrow)
 
-    # (t, k, B_t) for the feasible windows by right end b, in ascending
-    # (t, k) order: a predecessor of window (a, b, A, B) ends at a - 1
-    # and starts left of A
-    ending_at: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
-    for t in range(1, n + 1):
-        for k, wt in enumerate(windows[t]):
-            if wt is not None:
-                ending_at[wt[1]].append((t, k, wt[3]))
-
-    value: dict[tuple[int, int, int, int], int] = {}
-    pred: dict[tuple[int, int, int, int], Optional[tuple[int, int, int, int]]] = {}
-    transitions = 0
+    # best[y][j]: the most windows in a chain that covers positions 1..b
+    # and ends with window (y, j), 0 if there is none; pred[y][j]: the
+    # window (t, k) before it in the first such chain found
+    best = [[0] * len(row) for row in windows]
+    pred: list[list[Optional[tuple[int, int]]]] = [
+        [None] * len(row) for row in windows]
+    transitions = entries = 0
 
     for y in range(1, n + 1):
         for j, w in enumerate(windows[y]):
             if w is None:
                 continue
-            a, b, A, B = w
-            key = (b, y, B, j)
+            a, _, A, _ = w
             if a == 1:
-                value[key] = 1
-                pred[key] = None
-                continue
+                best[y][j] = 1         # and ending_at[0] is empty
             for t, k, Bt in ending_at[a - 1]:
                 if t >= A:
                     break
@@ -350,33 +349,33 @@ def solve_collinear(
                         instance._d2(id_at[t], id_at[y]),
                         aggs[t][k], aggs[y][j], mode):
                     continue
-                pkey = (a - 1, t, Bt, k)
-                prev = value.get(pkey)
-                if prev is not None and prev + 1 > value.get(key, 0):
-                    value[key] = prev + 1
-                    pred[key] = pkey
+                prev = best[t][k]
+                if prev and prev + 1 > best[y][j]:
+                    best[y][j] = prev + 1
+                    pred[y][j] = (t, k)
+            entries += best[y][j] > 0
 
-    best_key = None
-    best_val = 0
-    for (x, y, z, j), v in value.items():
-        if x == n and z == n and v > best_val:
-            best_val, best_key = v, (x, y, z, j)
+    # a prefix lies strictly inside its aggregate, so A <= a and B >= b:
+    # a window that ends at n also has z = B = n.  The first longest
+    # chain that ends there wins.
+    best_val, last = 0, None
+    for t, k, _ in ending_at[n]:
+        if best[t][k] > best_val:
+            best_val, last = best[t][k], (t, k)
 
-    stats = {"transitions": transitions, "entries": len(value)}
-    if best_key is None:
+    stats = {"transitions": transitions, "entries": entries}
+    if last is None:
         return SolveResult(INFEASIBLE, 0, None, stats)
 
-    # reconstruct: walk predecessor chain, each state contributes one
-    # selected disk with its prefix.
+    # reconstruct: each window of the chain maps its positions a..b, the
+    # disk and its prefix, to the disk
     target = [0] * (n + 1)
-    key = best_key
-    while key is not None:
-        _, y, _, j = key
-        i = id_at[y]
-        target[i] = i
-        for nb in instance._neighbor_prefix(i, j):
-            target[nb] = i
-        key = pred[key]
+    while last is not None:
+        y, j = last
+        a, b, _, _ = windows[y][j]
+        for p in range(a, b + 1):
+            target[id_at[p]] = id_at[y]
+        last = pred[y][j]
     assignment = Assignment(tuple(target[1:]))
     report = verify_proper(instance, assignment, mode)
     if not report.ok:  # pragma: no cover - internal consistency guard

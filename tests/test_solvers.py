@@ -111,6 +111,7 @@ def oracle_corpus():
               (F(-3, 4), F(-1, 2), 2), (F(-7, 4), F(-7, 4), 2))
     cases.append(("equalize-base", base))
     cases.append(("equalized", equalize_radii(base, F(1)).instance))
+    cases.append(("empty", mk()))
     return cases
 
 
@@ -126,6 +127,8 @@ def reference_collinear(instance, mode):
     entries, transitions)``."""
     order = collinearity_check(instance)
     n = instance.n
+    if n == 0:  # the empty chain covers the empty line
+        return FEASIBLE, 0, (), 0, 0
     pos_of = {disk_id: p for p, disk_id in enumerate(order, start=1)}
     id_at = {p: disk_id for p, disk_id in enumerate(order, start=1)}
     aggs = [()] + [instance._reach(id_at[p]) for p in range(1, n + 1)]
@@ -211,6 +214,7 @@ def dp_corpus():
                 (x, 0, F(rng.randint(2, 10), 2)) for x in xs])))
     for n in (1, 2, 3, 5, 10, 20, 30):
         cases.append((f"dense{n}", dense_line(n)))
+    cases.append(("empty", mk()))
     for k in range(40):
         n = rng.randint(2, 12)
         cases.append((f"coincident{k}",
@@ -355,6 +359,8 @@ class TestRelaxedOracle:
     def test_counts_search_nodes(self):
         # an isolated disk: the root, then the leaf that selects it
         assert solve_exact_rmcmd(mk((0, 0, 1))).stats == {"checked": 2}
+        # the empty instance: the root is the leaf of the empty assignment
+        assert solve_exact_rmcmd(mk()).stats == {"checked": 1}
 
     def test_relaxed_groups_interleave_on_a_line(self):
         # along the line the MAX optimum reads [1, 3, 3, 2, 3, 2, 2]:
@@ -450,6 +456,8 @@ class TestSolveCollinear:
     @settings(max_examples=150, deadline=None)
     @given(shared_centre_lines())
     def test_equals_oracle_on_shared_centres(self, inst):
+        # optimum as the oracle; reconstruction, tie-break and table as
+        # the full scan, with no more predecessors examined
         for mode in (MAX, SUM):
             dp = solve_collinear(inst, mode)
             oracle = solve_exact_mcmd(inst, mode)
@@ -457,6 +465,11 @@ class TestSolveCollinear:
                 (oracle.status, oracle.cardinality)
             if dp.feasible:
                 assert verify_proper(inst, dp.assignment, mode).ok
+            _, _, target, entries, transitions = \
+                reference_collinear(inst, mode)
+            got = dp.assignment.target if dp.feasible else None
+            assert (got, dp.stats["entries"]) == (target, entries)
+            assert dp.stats["transitions"] <= transitions
 
     def test_reports_transition_counter(self):
         # transitions counts bucket entries examined; the full scan
