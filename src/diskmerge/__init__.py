@@ -34,7 +34,7 @@ _EXPORTS = {
     "solvers": (
         "SolveResult", "collinearity_check", "enumerate_proper_assignments",
         "solve_collinear", "solve_exact_mcmd", "solve_exact_rmcmd"),
-    "svg": ("RenderOptions", "render_svg"),
+    "svg": ("render_svg",),
     "transforms": (
         "EqualizedInstance", "PartitionInput", "equalize_radii",
         "reduce_partition"),

@@ -23,7 +23,7 @@ from .serialization import (_dump, _parse_int, parse_assignment,
                             parse_formula, parse_instance, parse_rep,
                             serialize_assignment, serialize_instance)
 from .solvers import solve_collinear, solve_exact_mcmd, solve_exact_rmcmd
-from .svg import RenderOptions, render_svg
+from .svg import render_svg
 from .transforms import PartitionInput, equalize_radii, reduce_partition
 
 
@@ -131,8 +131,7 @@ def _cmd_render(args) -> int:
     assignment = None
     if args.assignment is not None:
         assignment = parse_assignment(_read(args.assignment))
-    svg = render_svg(instance, assignment,
-                     RenderOptions(mode=_mode(args)))
+    svg = render_svg(instance, assignment, _mode(args))
     _write_out(svg, args.output)
     return 0
 

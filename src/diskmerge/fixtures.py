@@ -97,6 +97,14 @@ def unit_clause_formula() -> tuple[MonotoneFormula, RectilinearRep]:
     return formula, rep
 
 
+def negative_unit_clause() -> tuple[MonotoneFormula, RectilinearRep]:
+    """One negative one-literal clause: a mirrored disjunction whose only
+    leg starts with a negation gadget."""
+    formula = _f(1, [(Polarity.NEGATIVE, (1,))])
+    rep = RectilinearRep(((0, 0),), (-1,), ((0,),))
+    return formula, rep
+
+
 def variables_only_formula() -> tuple[MonotoneFormula, RectilinearRep]:
     formula = _f(2, [])
     rep = RectilinearRep(((0, 0), (2, 2)), (), ())
@@ -110,5 +118,6 @@ FORMULA_FIXTURES = {
     "nested_positive": nested_positive_pair,
     "mixed_polarity": mixed_polarity_pair,
     "unit_clause": unit_clause_formula,
+    "negative_unit_clause": negative_unit_clause,
     "variables_only": variables_only_formula,
 }

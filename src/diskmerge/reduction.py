@@ -15,6 +15,7 @@ between satisfying variable values and merge assignments.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -63,45 +64,51 @@ def assemble(gadgets: Sequence[Gadget]) -> Assembly:
     Epsilon is small enough that no selector's aggregate radius can
     reach a disk outside its base radius and that marker disks cannot
     absorb anything, so gadget behaviour stays local.  A ReductionError
-    means the layout violates the required separations: a selector's
-    base radius reaches a disk other than its own gadget's markers.
+    means the layout violates the required separations: a port shared by
+    more than two gadgets, or a selector whose base radius reaches a
+    disk other than its own gadget's markers.
 
-    The checks read the neighbour walks of one private Instance of the
-    selectors and the distinct marker centres (radius 1, which leaves
-    ``L`` as it is): each selector reads every disk within its base
-    radius and then its first disk beyond it, and each marker reads only
-    the disks nearer than the closest pair of markers found so far.
+    One pass over the gadgets gives the final ids: per gadget, its
+    selectors first, then the marker centres no earlier gadget placed.
+    The checks read the neighbour walks of these disks with every marker
+    at radius 1, which leaves ``L`` as it is: each selector reads every
+    disk within its base radius and then its first disk beyond it, and
+    each marker reads only the disks nearer than the closest pair of
+    markers found so far.  The returned instance has the same disks with
+    the markers at radius epsilon.
     """
-    sdisk_list: list[tuple[int, str, Point, Fraction]] = []
-    owners: dict[Point, list[tuple[int, str]]] = {}
+    disks: list[Disk] = []
+    sdisk_ids: dict[tuple[int, str], int] = {}
+    mdisk_ids: dict[tuple[int, str], int] = {}
+    point_id: dict[Point, int] = {}
+    own_markers: list[set[int]] = []
     for gi, g in enumerate(gadgets):
         for name, p, r in g.sdisks:
-            sdisk_list.append((gi, name, p, r))
-        for name, p in list(g.mdisks) + list(g.ports):
-            owners.setdefault(p, []).append((gi, name))
+            disks.append(Disk(len(disks) + 1, p, r))
+            sdisk_ids[(gi, name)] = len(disks)
+        for name, p in g.mdisks + g.ports:
+            if p not in point_id:
+                disks.append(Disk(len(disks) + 1, p, F(1)))
+                point_id[p] = len(disks)
+            mdisk_ids[(gi, name)] = point_id[p]
+        own_markers.append({point_id[p] for _, p in g.mdisks + g.ports})
 
-    if any(len(v) > 2 for v in owners.values()):
+    if any(c > 2 for c in Counter(mdisk_ids.values()).values()):
         raise ReductionError("a port is shared by more than two gadgets")
-    k = len(owners)
+    markers = list(point_id.values())
+    k = len(markers)
     if k == 0:
         raise ReductionError("no marker disks")
 
-    S = len(sdisk_list)
-    layout = Instance(
-        [Disk(i, p, r) for i, (_, _, p, r) in enumerate(sdisk_list, 1)]
-        + [Disk(m, p, F(1)) for m, p in enumerate(owners, S + 1)])
+    layout = Instance(disks)
     L, rs = layout._scale, layout._r
-    own_markers: list[set[int]] = [set() for _ in gadgets]
-    for m, gs in enumerate(owners.values(), S + 1):
-        for gi, _ in gs:
-            own_markers[gi].add(m)
 
     # clearance from each selector to everything it must never absorb:
     # the least (d2 - r^2) / (2r + 1), kept as a numerator/denominator
     # pair of ints (both scaled by L^2) and compared by cross-multiplying;
     # for one selector it is the term of its nearest disk beyond r
     min_term: Optional[tuple[int, int]] = None
-    for i, (gi, name, _, _) in enumerate(sdisk_list, 1):
+    for (gi, name), i in sdisk_ids.items():
         r2 = rs[i] * rs[i]
         pairs = layout._walk(i, 0, r2 + 1)
         inside = bisect_left(pairs, (r2 + 1,))  # the disks at d2 <= r2
@@ -118,12 +125,13 @@ def assemble(gadgets: Sequence[Gadget]) -> Assembly:
     # the least squared distance between two marker centres
     m2 = None
     if k > 1:
-        m2 = layout._d2(S + 1, S + 2)
-        for m in range(S + 1, S + k + 1):
+        is_marker = set(markers)
+        m2 = layout._d2(markers[0], markers[1])
+        for m in markers:
             for d2, j in layout._walk(m, 0, m2):
                 if d2 >= m2:
                     break
-                if j > S:
+                if j in is_marker:
                     m2 = d2
                     break
 
@@ -133,21 +141,8 @@ def assemble(gadgets: Sequence[Gadget]) -> Assembly:
     if m2 is not None:
         eps = min(eps, min(F(m2, L * L), F(1)) / (2 * k))
 
-    # ids: per gadget, selectors first, then new marker centres
-    disks: list[Disk] = []
-    sdisk_ids: dict[tuple[int, str], int] = {}
-    mdisk_ids: dict[tuple[int, str], int] = {}
-    point_id: dict[Point, int] = {}
-    for gi, g in enumerate(gadgets):
-        for name, p, r in g.sdisks:
-            disks.append(Disk(len(disks) + 1, p, r))
-            sdisk_ids[(gi, name)] = len(disks)
-        for name, p in list(g.mdisks) + list(g.ports):
-            if p not in point_id:
-                disks.append(Disk(len(disks) + 1, p, eps))
-                point_id[p] = len(disks)
-            mdisk_ids[(gi, name)] = point_id[p]
-
+    for m in markers:
+        disks[m - 1] = Disk(m, disks[m - 1].center, eps)
     return Assembly(Instance(disks), tuple(gadgets), sdisk_ids,
                     mdisk_ids, eps)
 
@@ -162,12 +157,6 @@ _PORT_DIRECTION = {
                        "out_n": (0, 1), "out_s": (0, -1)},
     GadgetKind.DISJUNCTION: {"w": (-1, 0), "s": (0, -1), "e": (1, 0)},
 }
-_HARNESS_MATRIX = {
-    (-1, 0): _ID,
-    (1, 0): (-1, 0, 0, 1),
-    (0, 1): (0, 1, -1, 0),
-    (0, -1): (0, -1, 1, 0),
-}
 
 
 def port_harness(gadget: Gadget) -> Assembly:
@@ -176,35 +165,36 @@ def port_harness(gadget: Gadget) -> Assembly:
     The harness inputs give every port a neighbour that may or may not
     absorb it, so enumerating all strict assignments of the returned
     instance reveals exactly which port combinations the gadget
-    permits.  Gadget index 0 is the gadget under test.
+    permits.  Gadget index 0 is the gadget under test.  Each input is
+    turned so that its local +x points back into the gadget; its disks
+    all lie on its local x axis.
     """
     a, b, c, d = gadget.pose.matrix
     gs = [gadget]
     for name, p in gadget.ports:
         dx, dy = _PORT_DIRECTION[gadget.kind][name]
-        gdir = (a * dx + b * dy, c * dx + d * dy)
-        gs.append(build_gadget(GadgetKind.INPUT,
-                               Pose(_HARNESS_MATRIX[gdir], p),
+        gx, gy = a * dx + b * dy, c * dx + d * dy
+        gs.append(build_gadget(GadgetKind.INPUT, Pose((-gx, gy, -gy, -gx), p),
                                role=f"harness {name}"))
     return assemble(gs)
 
 
 @dataclass
-class ReductionArtifact:
-    instance: Instance
-    formula: MonotoneFormula
-    rep: RectilinearRep            # the embedded drawing actually used
-    assembly: Assembly
-    port_map: dict[int, int]       # variable -> its input gadget's port id
-    roles: tuple[tuple, ...]       # per gadget, see _build_assignment
+class ReductionArtifact(Assembly):
+    """The assembled reduction of a drawn formula.
 
-    @property
-    def epsilon(self) -> Fraction:
-        return self.assembly.epsilon
+    ``port_map`` sends each variable to the id of its input gadget's
+    port.  ``roles`` has one entry per gadget: a disjunction has
+    ``(clause index, arms)`` with one ``(port, variable, positive)`` per
+    arm, and every other gadget ``(variable, positive, side)``.  The
+    gadget's state is :func:`_leg_truth` of its variable and polarity;
+    ``side`` is the port a copy takes when that is true, and ``None`` for
+    the other kinds.  Inputs, crossings and negations carry
+    ``positive=True``: they read the variable itself.
+    """
 
-    @property
-    def gadgets(self) -> tuple[Gadget, ...]:
-        return self.assembly.gadgets
+    port_map: dict[int, int]
+    roles: tuple[tuple, ...]
 
     def metadata(self) -> dict:
         return {
@@ -234,8 +224,9 @@ def reduce_sat(formula: MonotoneFormula, rep: RectilinearRep
     roles: list[tuple] = []
     input_index: dict[int, int] = {}
 
-    def add(g: Gadget, role: tuple) -> None:
-        gadgets.append(g)
+    def add(kind: GadgetKind, pose: Pose, label: str, role: tuple,
+            **options) -> None:
+        gadgets.append(build_gadget(kind, pose, role=label, **options))
         roles.append(role)
 
     var_order = sorted(range(1, formula.num_variables + 1),
@@ -244,19 +235,14 @@ def reduce_sat(formula: MonotoneFormula, rep: RectilinearRep
         legs = legs_of_var[var]
         first_col = legs[0][0] if legs else embedded.variable_segments[var - 1][0]
         input_index[var] = len(gadgets)
-        add(build_gadget(GadgetKind.INPUT,
-                         pose_at(2 * first_col - 1, 0),
-                         with_absorber=not legs,
-                         role=f"input v{var}"),
-            ("input", var))
+        add(GadgetKind.INPUT, pose_at(2 * first_col - 1, 0), f"input v{var}",
+            (var, True, None), with_absorber=not legs)
         for idx, (col, ci) in enumerate(legs):
-            positive = rows[ci] > 0
-            drop = {"out_s" if positive else "out_n"}
+            drop = {"out_s" if rows[ci] > 0 else "out_n"}
             if idx == len(legs) - 1:
                 drop.add("out_e")
-            add(build_gadget(GadgetKind.COPY6, pose_at(2 * col, 0),
-                             drop_ports=drop, role=f"crossing v{var}"),
-                ("crossing", var))
+            add(GadgetKind.COPY6, pose_at(2 * col, 0), f"crossing v{var}",
+                (var, True, None), drop_ports=drop)
 
     for ci, cl in enumerate(formula.clauses):
         row = rows[ci]
@@ -267,75 +253,57 @@ def reduce_sat(formula: MonotoneFormula, rep: RectilinearRep
 
         # vertical chains from the variable row up/down to the clause row
         for li, (col, var) in enumerate(cols):
+            leg = (var, positive, "a")
             if positive:
                 for j in range(1, 3 * height - 1):
-                    add(build_gadget(GadgetKind.COPY4,
-                                     pose_at(2 * col, j, _ROT_CCW),
-                                     role=f"leg v{var} c{ci}"),
-                        ("vcopy", var, positive, "a"))
+                    add(GadgetKind.COPY4, pose_at(2 * col, j, _ROT_CCW),
+                        f"leg v{var} c{ci}", leg)
             else:
                 # the negation gadget is mirrored on the leftmost leg so
                 # its tail marker stays clear of the left corner's
                 # input selector when the clause row is adjacent
                 not_matrix = (0, -1, -1, 0) if li == 0 and len(cols) > 1 \
                     else _ROT_CW
-                add(build_gadget(GadgetKind.NOT,
-                                 pose_at(2 * col, -1, not_matrix),
-                                 role=f"not v{var} c{ci}"),
-                    ("not", var))
+                add(GadgetKind.NOT, pose_at(2 * col, -1, not_matrix),
+                    f"not v{var} c{ci}", (var, True, None))
                 for j in range(2, 3 * height - 1):
-                    add(build_gadget(GadgetKind.COPY4,
-                                     pose_at(2 * col, -j, _ROT_CW),
-                                     role=f"leg v{var} c{ci}"),
-                        ("vcopy", var, positive, "a"))
+                    add(GadgetKind.COPY4, pose_at(2 * col, -j, _ROT_CW),
+                        f"leg v{var} c{ci}", leg)
 
-        # clause row: corners feed copies toward the disjunction
+        # clause row: corners feed copies toward the disjunction on the
+        # middle leg (a unit clause's only leg)
         def add_corner(col: int, var: int, side: str) -> None:
-            add(build_gadget(GadgetKind.COPY6,
-                             pose_at(2 * col, y, _CORNER[(side, positive)]),
-                             drop_ports={"out_e", "out_n"},
-                             role=f"corner c{ci} v{var}"),
-                ("corner", var, positive))
+            add(GadgetKind.COPY6,
+                pose_at(2 * col, y, _CORNER[(side, positive)]),
+                f"corner c{ci} v{var}", (var, positive, None),
+                drop_ports={"out_e", "out_n"})
 
-        def add_hcopies(col_from: int, col_to: int, var: int,
-                        source: str) -> None:
+        def add_row_copies(col_from: int, col_to: int, var: int,
+                           side: str) -> None:
             for x0 in range(2 * col_from + 1, 2 * col_to - 1):
-                add(build_gadget(GadgetKind.COPY4, pose_at(x0, y),
-                                 role=f"row c{ci}"),
-                    ("hcopy", var, positive, source))
+                add(GadgetKind.COPY4, pose_at(x0, y), f"row c{ci}",
+                    (var, positive, side))
 
-        disj_matrix = _ID if positive else _MIRROR_Y
-        if len(cols) == 1:
-            (c1, v1), = cols
-            add(build_gadget(GadgetKind.DISJUNCTION,
-                             pose_at(2 * c1, y, disj_matrix),
-                             drop_ports={"w", "e"}, role=f"clause c{ci}"),
-                ("disj", ci, (("s", v1, positive),)))
-        elif len(cols) == 2:
-            (c1, v1), (c2, v2) = cols
-            add_corner(c1, v1, "left")
-            add_hcopies(c1, c2, v1, "a")
-            add(build_gadget(GadgetKind.DISJUNCTION,
-                             pose_at(2 * c2, y, disj_matrix),
-                             drop_ports={"e"}, role=f"clause c{ci}"),
-                ("disj", ci, (("w", v1, positive), ("s", v2, positive))))
-        else:
-            (c1, v1), (c2, v2), (c3, v3) = cols
-            add_corner(c1, v1, "left")
-            add_hcopies(c1, c2, v1, "a")
-            add(build_gadget(GadgetKind.DISJUNCTION,
-                             pose_at(2 * c2, y, disj_matrix),
-                             role=f"clause c{ci}"),
-                ("disj", ci, (("w", v1, positive), ("s", v2, positive),
-                              ("e", v3, positive))))
-            add_hcopies(c2, c3, v3, "b")
-            add_corner(c3, v3, "right")
+        arms = ("s",) if len(cols) == 1 else ("w", "s", "e")[:len(cols)]
+        mid = cols[len(cols) > 1][0]
+        if len(cols) > 1:
+            add_corner(*cols[0], "left")
+            add_row_copies(cols[0][0], mid, cols[0][1], "a")
+        add(GadgetKind.DISJUNCTION,
+            pose_at(2 * mid, y, _ID if positive else _MIRROR_Y),
+            f"clause c{ci}",
+            (ci, tuple((arm, var, positive)
+                       for arm, (_, var) in zip(arms, cols))),
+            drop_ports={"w", "s", "e"} - set(arms))
+        if len(cols) > 2:
+            add_row_copies(mid, cols[2][0], cols[2][1], "b")
+            add_corner(*cols[2], "right")
 
     assembly = assemble(gadgets)
     port_map = {var: assembly.mdisk_ids[(input_index[var], "port")]
                 for var in range(1, formula.num_variables + 1)}
-    return ReductionArtifact(assembly.instance, formula, embedded,
-                             assembly, port_map, tuple(roles))
+    return ReductionArtifact(**vars(assembly), port_map=port_map,
+                             roles=tuple(roles))
 
 
 def _leg_truth(values: dict[int, int], var: int, positive: bool) -> bool:
@@ -351,75 +319,58 @@ def build_assignment_from_sat(artifact: ReductionArtifact,
     (propagation reaches a disjunction none of whose ports arrive
     merged in).
     """
-    asm = artifact.assembly
-    n = asm.instance.n
+    n = artifact.instance.n
     target = [0] * (n + 1)
 
-    for key, sid in asm.sdisk_ids.items():
+    for sid in artifact.sdisk_ids.values():
         target[sid] = sid
 
     def merge(gi: int, sname: str, members: Sequence[str]) -> None:
-        sid = asm.sdisk_ids[(gi, sname)]
+        sid = artifact.sdisk_ids[(gi, sname)]
         for m in members:
-            mid = asm.mdisk_ids[(gi, m)]
+            mid = artifact.mdisk_ids[(gi, m)]
             if target[mid] != 0:
                 raise ReductionError(
                     f"marker {mid} absorbed twice (gadget {gi})")
             target[mid] = sid
 
-    for gi, role in enumerate(artifact.roles):
-        kind = role[0]
-        g = asm.gadgets[gi]
-        if kind == "input":
-            var = role[1]
-            taken = values[var] == 0
-            merge(gi, "main", ["int"] + (["port"] if taken else []))
-            if (gi, "absorber") in asm.sdisk_ids:
-                merge(gi, "absorber",
-                      ["absint"] + ([] if taken else ["port"]))
-        elif kind == "crossing":
-            var = role[1]
-            if values[var] == 1:
-                merge(gi, "s_in", ["block", "in", "tail"])
-            else:
-                outs = [nm for nm, _ in g.ports if nm != "in"]
-                merge(gi, "s_out", ["block"] + outs + ["tail"])
-        elif kind == "vcopy" or kind == "hcopy":
-            _, var, positive, source = role
-            t = _leg_truth(values, var, positive)
-            side = source if t else ("b" if source == "a" else "a")
-            merge(gi, "sa" if side == "a" else "sb",
-                  ["block", side, "tail"])
-        elif kind == "not":
-            var = role[1]
-            if values[var] == 1:
-                merge(gi, "s_pass", ["block", "a", "b", "tail"])
-            else:
-                merge(gi, "s_idle", ["block", "tail"])
-        elif kind == "corner":
-            _, var, positive = role
-            if _leg_truth(values, var, positive):
-                merge(gi, "s_in", ["block", "in", "tail"])
-            else:
-                merge(gi, "s_out", ["block", "out_s", "tail"])
-        elif kind == "disj":
-            _, ci, arms = role
+    for gi, (g, role) in enumerate(zip(artifact.gadgets, artifact.roles)):
+        if g.kind is GadgetKind.DISJUNCTION:
+            ci, arms = role
             true_arms = [arm for arm, var, positive in arms
                          if _leg_truth(values, var, positive)]
             if not true_arms:
                 raise ReductionError(
                     f"clause {ci} unsatisfied: no port arrives merged in")
             for i, arm in enumerate(true_arms):
-                members = [arm] + (["core"] if i == 0 else [])
-                merge(gi, "s_" + arm, members)
-        else:  # pragma: no cover - exhaustive by construction
-            raise AssertionError(kind)
+                merge(gi, "s_" + arm, [arm] + (["core"] if i == 0 else []))
+            continue
+        var, positive, side = role
+        state = _leg_truth(values, var, positive)
+        if g.kind is GadgetKind.INPUT:
+            merge(gi, "main", ["int"] + ([] if state else ["port"]))
+            if (gi, "absorber") in artifact.sdisk_ids:
+                merge(gi, "absorber", ["absint"] + (["port"] if state else []))
+        elif g.kind is GadgetKind.COPY6:  # crossings and corners
+            if state:
+                merge(gi, "s_in", ["block", "in", "tail"])
+            else:
+                outs = [nm for nm, _ in g.ports if nm != "in"]
+                merge(gi, "s_out", ["block"] + outs + ["tail"])
+        elif g.kind is GadgetKind.COPY4:
+            if not state:
+                side = "b" if side == "a" else "a"
+            merge(gi, "s" + side, ["block", side, "tail"])
+        elif state:  # NOT: both ports or neither
+            merge(gi, "s_pass", ["block", "a", "b", "tail"])
+        else:
+            merge(gi, "s_idle", ["block", "tail"])
 
     if any(t == 0 for t in target[1:]):
         missing = [i for i in range(1, n + 1) if target[i] == 0]
         raise AssertionError(f"disks left unassigned: {missing}")
     assignment = Assignment(tuple(target[1:]))
-    report = verify_proper(asm.instance, assignment, DisjointnessMode.MAX)
+    report = verify_proper(artifact.instance, assignment, DisjointnessMode.MAX)
     if not report.ok:  # pragma: no cover - internal consistency guard
         raise AssertionError(
             f"constructed assignment fails verification: "
@@ -435,13 +386,10 @@ def extract_sat_assignment(artifact: ReductionArtifact,
     if not report.ok:
         raise FormatError(
             f"assignment fails verification: {report.violations[0]}")
-    asm = artifact.assembly
     values: dict[int, int] = {}
-    for gi, role in enumerate(artifact.roles):
-        if role[0] != "input":
-            continue
-        var = role[1]
-        main = asm.sdisk_ids[(gi, "main")]
-        port = asm.mdisk_ids[(gi, "port")]
-        values[var] = 0 if assignment(port) == main else 1
+    for gi, (g, role) in enumerate(zip(artifact.gadgets, artifact.roles)):
+        if g.kind is GadgetKind.INPUT:
+            main = artifact.sdisk_ids[(gi, "main")]
+            port = artifact.mdisk_ids[(gi, "port")]
+            values[role[0]] = 0 if assignment(port) == main else 1
     return values

@@ -121,10 +121,7 @@ def parse_assignment(text: str) -> Assignment:
         if src is None or dst is None:
             raise FormatError(f"bad target entry {key!r}: {val!r}")
         mapping[src] = dst
-    n = len(mapping)
-    if sorted(mapping) != list(range(1, n + 1)):
-        raise FormatError("assignment target must map ids 1..n")
-    return Assignment(tuple(mapping[i] for i in range(1, n + 1)))
+    return Assignment(mapping)
 
 
 def serialize_assignment(assignment: Assignment) -> str:

@@ -9,8 +9,6 @@ output.  The y axis is flipped so that positive y points up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .core import (Assignment, DisjointnessMode, FormatError, Instance,
@@ -18,13 +16,7 @@ from .core import (Assignment, DisjointnessMode, FormatError, Instance,
 
 _DECIMALS = 4
 _UNIT = 10 ** _DECIMALS
-
-
-@dataclass(frozen=True)
-class RenderOptions:
-    scale: Fraction = Fraction(40)
-    labels: bool = True
-    mode: DisjointnessMode = DisjointnessMode.MAX
+_SCALE = 40  # pixels per unit length
 
 
 def _fmt(num: int, den: int) -> str:
@@ -40,22 +32,23 @@ def _fmt(num: int, den: int) -> str:
 
 def render_svg(instance: Instance,
                assignment: Optional[Assignment] = None,
-               options: Optional[RenderOptions] = None) -> str:
-    """Render the instance (and optionally a verified assignment) as SVG."""
-    opts = options or RenderOptions()
+               mode: DisjointnessMode = DisjointnessMode.MAX) -> str:
+    """Render the instance (and optionally an assignment, verified under
+    the relaxed rule in ``mode``) as SVG, with every disk labelled by its
+    id."""
     aggs: dict[int, int] = {}  # selected disk -> aggregate radius (1/L)
     if assignment is not None:
-        report = verify_uproper(instance, assignment, opts.mode)
+        report = verify_uproper(instance, assignment, mode)
         if not report.ok:
             raise FormatError(
                 f"assignment fails verification: {report.violations[0]}")
         aggs = {i: a for i, (_, a)
                 in _merge_groups(instance, assignment).items()}
 
-    # lengths in units of 1/L, printed as length * s / L; the margin is 1
+    # lengths in units of 1/L, printed as length * _SCALE / L; the
+    # margin is 1
     L = margin = instance._scale
     xs, ys, rs = instance._x, instance._y, instance._r
-    num, den = opts.scale.numerator, opts.scale.denominator * L
     if instance.n == 0:
         min_x = min_y = -margin
         max_x = max_y = margin
@@ -68,7 +61,7 @@ def render_svg(instance: Instance,
         max_y = max(ys[i] + r for i, r in spans) + margin
 
     def length(v: int) -> str:
-        return _fmt(v * num, den)
+        return _fmt(v * _SCALE, L)
 
     def px(i: int) -> str:
         return length(xs[i] - min_x)
@@ -111,12 +104,11 @@ def render_svg(instance: Instance,
             f'stroke="#cc0000" stroke-width="1" '
             f'stroke-dasharray="6 4"/>')
 
-    if opts.labels:
-        for d in instance.disks:
-            lines.append(
-                f'<text x="{px(d.id)}" y="{py(d.id)}" '
-                f'font-size="10" text-anchor="middle" '
-                f'dominant-baseline="middle">{d.id}</text>')
+    for d in instance.disks:
+        lines.append(
+            f'<text x="{px(d.id)}" y="{py(d.id)}" '
+            f'font-size="10" text-anchor="middle" '
+            f'dominant-baseline="middle">{d.id}</text>')
 
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -18,7 +18,7 @@ from diskmerge.serialization import (instance_metadata, parse_assignment,
                                      parse_rep, serialize_assignment,
                                      serialize_formula, serialize_instance,
                                      serialize_rep)
-from diskmerge.svg import RenderOptions, _fmt, render_svg
+from diskmerge.svg import _fmt, render_svg
 
 rationals = st.fractions(max_denominator=10 ** 6)
 positive_rationals = rationals.filter(lambda q: q > 0)
@@ -171,8 +171,7 @@ class TestRenderSvg:
     def test_deterministic(self):
         inst = chain_merge_instance()
         a = Assignment((1, 2, 2, 4, 5))
-        opts = RenderOptions(labels=False)
-        assert render_svg(inst, a, opts) == render_svg(inst, a, opts)
+        assert render_svg(inst, a) == render_svg(inst, a)
 
     def test_no_floats_in_output(self):
         inst = Instance([Disk(1, Point(F(1, 3), F(2, 7)), F(5, 11))])
@@ -190,22 +189,19 @@ def _first_satisfying(formula):
 
 @functools.cache
 def _svg_cases():
-    """name -> (instance, assignment or None, options or None)."""
+    """name -> (instance, assignment or None)."""
     cases = {}
     for name, fn in sorted(FORMULA_FIXTURES.items()):
         formula, rep = fn()
         art = reduce_sat(formula, rep)
         cases[f"sat-{name}"] = (art.instance, build_assignment_from_sat(
-            art, _first_satisfying(formula)), None)
+            art, _first_satisfying(formula)))
     negative = Instance([Disk(1, Point(F(-7, 3), F(-1, 2)), F(5, 6)),
                          Disk(2, Point(F(-3), F(-1, 2)), F(1, 4)),
                          Disk(3, Point(F(2, 5), F(-11, 7)), F(3, 8))])
-    cases["negative"] = (negative, Assignment((1, 1, 3)), None)
-    cases["negative-scale-7/3-nolabels"] = (
-        negative, Assignment((1, 1, 3)),
-        RenderOptions(scale=F(7, 3), labels=False))
-    cases["chain-no-assignment"] = (chain_merge_instance(), None, None)
-    cases["empty"] = (Instance(()), None, None)
+    cases["negative"] = (negative, Assignment((1, 1, 3)))
+    cases["chain-no-assignment"] = (chain_merge_instance(), None)
+    cases["empty"] = (Instance(()), None)
     return cases
 
 
@@ -217,8 +213,8 @@ SVG_PINS = {
         "da7a76152c109bddaebf29c33426f3fbb59929578e34304429f9bdbea0398d57",
     "negative":
         "81f79c0aa816305f241a7cc2b79b7a909c571b3a18ba2ae885990ad5e861b553",
-    "negative-scale-7/3-nolabels":
-        "a0a4708dfec16f866ea8c9b85c10a5c2bfdc080806b8a5823c5685499129fa74",
+    "sat-negative_unit_clause":
+        "05d8525d7881bcdd151e9f82b8921dcfc59bd83498173b221989f6c33f932d52",
     "sat-mixed_polarity":
         "255a75891fb14a7165226275201c0ba55dc7b38eb400504589729baddf3d7ec8",
     "sat-nested_positive":
@@ -242,8 +238,8 @@ class TestSvgPinned:
 
     @pytest.mark.parametrize("name", sorted(SVG_PINS))
     def test_render_svg_bytes(self, name):
-        inst, assignment, options = _svg_cases()[name]
-        svg = render_svg(inst, assignment, options)
+        inst, assignment = _svg_cases()[name]
+        svg = render_svg(inst, assignment)
         assert hashlib.sha256(svg.encode()).hexdigest() == SVG_PINS[name]
 
 
@@ -258,9 +254,10 @@ def fraction_fmt(value: F) -> str:
 
 @st.composite
 def fmt_operands(draw):
-    """``(num, den)`` as render_svg forms them, ``(X - M) * s.numerator``
-    over ``s.denominator * L``, or an exact tie ``k + 1/2`` at the 4th
-    decimal over an arbitrary common factor."""
+    """``(num, den)`` of the form ``(X - M) * s.numerator`` over
+    ``s.denominator * L`` for a rational scale ``s`` (render_svg's is 40),
+    or an exact tie ``k + 1/2`` at the 4th decimal over an arbitrary
+    common factor."""
     if draw(st.booleans()):
         k = draw(st.integers(-10 ** 7, 10 ** 7))
         factor = draw(st.integers(1, 10 ** 6))

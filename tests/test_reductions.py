@@ -72,8 +72,20 @@ class TestAssemble:
     def test_overlapping_gadgets_rejected(self):
         a = build_gadget(GadgetKind.INPUT, Pose())
         b = build_gadget(GadgetKind.INPUT, pose_at(F(1, 10), 0))
-        with pytest.raises(ReductionError):
+        with pytest.raises(ReductionError, match="overlaps a foreign disk"):
             assemble([a, b])
+
+    def test_port_shared_by_three_rejected(self):
+        gadgets = [build_gadget(GadgetKind.INPUT, Pose()),
+                   build_gadget(GadgetKind.COPY4, pose_at(0, 0)),
+                   build_gadget(GadgetKind.NOT, pose_at(0, 0))]
+        with pytest.raises(ReductionError,
+                           match="shared by more than two gadgets"):
+            assemble(gadgets)
+
+    def test_no_gadgets_rejected(self):
+        with pytest.raises(ReductionError, match="no marker disks"):
+            assemble([])
 
 
 def reference_assemble(gadgets):
@@ -322,6 +334,8 @@ SAT_PINS = {
                        "c0433d380b907a876bf6e85c048a8969"),
     "unit_clause": ("11/3375", "aac5b5cd53c768b75e568c2ced80de87"
                     "c45849be7e7c79aa85315583ceddee63"),
+    "negative_unit_clause": ("289/190800", "705465d40765224bd0f331fd44eba654"
+                             "4130093c1338f9d4da50a1dcc80b9758"),
     "variables_only": ("3/400", "14a8726c6e2cc5211510a4bfe45a68ce"
                        "4efd4eab6f53a9ebdea230031c1bd4c3"),
 }
