@@ -35,6 +35,19 @@ def relaxed_only_instance() -> Instance:
     ])
 
 
+def equalize_relaxed_rise_instance() -> Instance:
+    """Four disks whose relaxed optimum rises from 1 to 2 under
+    ``equalize_radii(..., 1)``: the two copies of disk 3 merge into disk
+    2 and into a copy of disk 4.  The strict optimum is 1 before and
+    after."""
+    return Instance([
+        Disk(1, Point(F(3, 4), F(-1, 2)), F(1)),
+        Disk(2, Point(F(1, 2), F(1, 4)), F(1)),
+        Disk(3, Point(F(-3, 4), F(-1, 2)), F(2)),
+        Disk(4, Point(F(-7, 4), F(-7, 4)), F(2)),
+    ])
+
+
 def _f(num_variables, clauses) -> MonotoneFormula:
     return MonotoneFormula(num_variables, tuple(
         Clause(pol, tuple(lits)) for pol, lits in clauses))
@@ -81,6 +94,21 @@ def nested_positive_pair() -> tuple[MonotoneFormula, RectilinearRep]:
     return formula, rep
 
 
+def nested_negative_pair() -> tuple[MonotoneFormula, RectilinearRep]:
+    """``nested_positive_pair`` mirrored below the axis: the outer clause
+    sits on row -2, so its legs pass the inner clause's row."""
+    formula = _f(4, [
+        (Polarity.NEGATIVE, (1, 2, 3)),
+        (Polarity.NEGATIVE, (1, 3, 4)),
+    ])
+    rep = RectilinearRep(
+        variable_segments=((0, 9), (10, 19), (20, 29), (30, 39)),
+        clause_rows=(-1, -2),
+        legs=((5, 15, 25), (2, 27, 35)),
+    )
+    return formula, rep
+
+
 def mixed_polarity_pair() -> tuple[MonotoneFormula, RectilinearRep]:
     formula = _f(3, [
         (Polarity.POSITIVE, (1, 2)),
@@ -116,6 +144,7 @@ FORMULA_FIXTURES = {
     "single_positive": single_positive_clause,
     "single_negative": single_negative_clause,
     "nested_positive": nested_positive_pair,
+    "nested_negative": nested_negative_pair,
     "mixed_polarity": mixed_polarity_pair,
     "unit_clause": unit_clause_formula,
     "negative_unit_clause": negative_unit_clause,

@@ -66,7 +66,16 @@ class RectilinearRep:
 
 
 def validate_rep(formula: MonotoneFormula, rep: RectilinearRep) -> None:
-    """Raise FormatError unless rep is a crossing-free drawing of formula."""
+    """Raise FormatError unless rep is a crossing-free drawing of formula.
+
+    Besides the shape checks, every leg must lie in its variable's
+    segment and all leg columns must be distinct.  The one crossing rule
+    is then: no leg on a clause's side of the axis whose row is at least
+    as far from the axis lies strictly inside that clause's span.  Two
+    clauses on one row cannot overlap without breaking it, since a leg
+    of one that lies in the other's span cannot share a column with
+    either end of that span, and so lies strictly inside.
+    """
     if len(rep.variable_segments) != formula.num_variables:
         raise FormatError("one segment per variable required")
     if len(rep.clause_rows) != len(formula.clauses) or \
@@ -99,32 +108,23 @@ def validate_rep(formula: MonotoneFormula, rep: RectilinearRep) -> None:
     if len(set(cols_seen)) != len(cols_seen):
         raise FormatError("leg columns must be distinct")
 
-    # crossing checks: clause spans on a shared side must not contain a
-    # farther leg strictly inside, and same-row spans must not overlap
-    spans = [(min(cols), max(cols)) if cols else None
-             for cols in rep.legs]
-    for ci, span in enumerate(spans):
-        if span is None:
-            continue
-        row = rep.clause_rows[ci]
+    for ci, (row, cols) in enumerate(zip(rep.clause_rows, rep.legs)):
+        lo, hi = min(cols), max(cols)
         for col, lrow, lci in all_legs:
-            if lci == ci or lrow * row < 0:
-                continue
-            if abs(lrow) >= abs(row) and span[0] < col < span[1]:
-                raise FormatError(
-                    f"leg of clause {lci} crosses clause {ci}")
-            if lrow == row and span[0] <= col <= span[1]:
-                raise FormatError(
-                    f"clauses {ci} and {lci} overlap on row {row}")
+            if lci != ci and lrow * row > 0 and abs(lrow) >= abs(row) \
+                    and lo < col < hi:
+                raise FormatError(f"leg of clause {lci} crosses clause {ci}")
 
 
 def grid_embed(formula: MonotoneFormula, rep: RectilinearRep
                ) -> RectilinearRep:
     """Compress a valid drawing onto consecutive integer rows/columns.
 
-    Rows above the axis become 1..k (below: -1..-k) preserving order;
-    each leg gets its own column with one spacer column between
-    variables, so the result uses at most len(legs) + num_variables
+    Rows above the axis become 1..k (below: -1..-k) preserving order.
+    Columns start at 1 and go to the variables left to right: a variable
+    with m legs puts them, left to right, on the next m columns, which
+    its segment spans, and one spacer column follows; a legless variable
+    takes one column.  The result uses at most len(legs) + num_variables
     columns and (number of distinct clause rows) + 1 rows.
     """
     validate_rep(formula, rep)
@@ -134,7 +134,6 @@ def grid_embed(formula: MonotoneFormula, rep: RectilinearRep
     row_map = {r: i + 1 for i, r in enumerate(pos_rows)}
     row_map.update({r: -(i + 1) for i, r in enumerate(neg_rows)})
 
-    # variables left to right, legs within each variable left to right
     var_order = sorted(range(1, formula.num_variables + 1),
                        key=lambda v: rep.variable_segments[v - 1])
     legs_of_var: dict[int, list[int]] = {v: [] for v in var_order}
@@ -145,21 +144,11 @@ def grid_embed(formula: MonotoneFormula, rep: RectilinearRep
     col_map: dict[int, int] = {}
     segments = list(rep.variable_segments)
     next_col = 1
-    prev_had_legs = False
     for v in var_order:
         cols = sorted(legs_of_var[v])
-        if prev_had_legs:
-            next_col += 1  # spacer column after a variable with legs
-        if not cols:
-            segments[v - 1] = (next_col, next_col)
-            next_col += 1
-            prev_had_legs = False
-            continue
-        for col in cols:
-            col_map[col] = next_col
-            next_col += 1
-        segments[v - 1] = (col_map[cols[0]], col_map[cols[-1]])
-        prev_had_legs = True
+        col_map.update(zip(cols, range(next_col, next_col + len(cols))))
+        segments[v - 1] = (next_col, next_col + max(len(cols) - 1, 0))
+        next_col += len(cols) + 1
 
     new_rows = tuple(row_map[r] for r in rep.clause_rows)
     new_legs = tuple(tuple(col_map[c] for c in cols) for cols in rep.legs)

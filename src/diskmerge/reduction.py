@@ -27,21 +27,6 @@ from .gadgets import Gadget, GadgetKind, Pose, build_gadget, pose_at
 
 F = Fraction
 
-# pose matrices, column-vector convention (a, b, c, d) for [[a, b], [c, d]]
-_ID = (1, 0, 0, 1)
-_ROT_CCW = (0, -1, 1, 0)     # +x -> +y: upward legs
-_ROT_CW = (0, 1, -1, 0)      # +x -> -y: downward legs
-_MIRROR_Y = (1, 0, 0, -1)
-_CORNER = {
-    # (side of the clause row, above axis) -> matrix sending the "in"
-    # arm toward the axis and the "out_s" arm toward the disjunction
-    ("left", True): (0, -1, 1, 0),
-    ("right", True): (0, 1, 1, 0),
-    ("left", False): (0, -1, -1, 0),
-    ("right", False): (0, 1, -1, 0),
-}
-
-
 class ReductionError(FormatError):
     pass
 
@@ -210,15 +195,10 @@ def reduce_sat(formula: MonotoneFormula, rep: RectilinearRep
                ) -> ReductionArtifact:
     embedded = grid_embed(formula, rep)
     rows = embedded.clause_rows
-
-    # legs per variable: (column, clause index), left to right
-    legs_of_var: dict[int, list[tuple[int, int]]] = {
-        v: [] for v in range(1, formula.num_variables + 1)}
-    for ci, (cl, cols) in enumerate(zip(formula.clauses, embedded.legs)):
-        for var, col in zip(cl.literals, cols):
-            legs_of_var[var].append((col, ci))
-    for legs in legs_of_var.values():
-        legs.sort()
+    # segments are disjoint and hold their own variable's legs, so a
+    # variable's legs are the leg columns inside its segment
+    clause_at = {col: ci for ci, cols in enumerate(embedded.legs)
+                 for col in cols}
 
     gadgets: list[Gadget] = []
     roles: list[tuple] = []
@@ -232,14 +212,15 @@ def reduce_sat(formula: MonotoneFormula, rep: RectilinearRep
     var_order = sorted(range(1, formula.num_variables + 1),
                        key=lambda v: embedded.variable_segments[v - 1])
     for var in var_order:
-        legs = legs_of_var[var]
-        first_col = legs[0][0] if legs else embedded.variable_segments[var - 1][0]
+        lo, hi = embedded.variable_segments[var - 1]
+        legs = [col for col in range(lo, hi + 1) if col in clause_at]
+        first = legs[0] if legs else lo
         input_index[var] = len(gadgets)
-        add(GadgetKind.INPUT, pose_at(2 * first_col - 1, 0), f"input v{var}",
+        add(GadgetKind.INPUT, pose_at(2 * first - 1, 0), f"input v{var}",
             (var, True, None), with_absorber=not legs)
-        for idx, (col, ci) in enumerate(legs):
-            drop = {"out_s" if rows[ci] > 0 else "out_n"}
-            if idx == len(legs) - 1:
+        for col in legs:
+            drop = {"out_s" if rows[clause_at[col]] > 0 else "out_n"}
+            if col == legs[-1]:
                 drop.add("out_e")
             add(GadgetKind.COPY6, pose_at(2 * col, 0), f"crossing v{var}",
                 (var, True, None), drop_ports=drop)
@@ -247,34 +228,32 @@ def reduce_sat(formula: MonotoneFormula, rep: RectilinearRep
     for ci, cl in enumerate(formula.clauses):
         row = rows[ci]
         positive = row > 0
-        height = abs(row)
         y = 3 * row
         cols = sorted(zip(embedded.legs[ci], cl.literals))
+        # pose matrices (a, b, c, d), for [[a, b], [c, d]], are built from
+        # two signs: sy is +1 above the axis and -1 below, sx is -1 on the
+        # left of the clause row and +1 on the right
+        sy = 1 if positive else -1
 
-        # vertical chains from the variable row up/down to the clause row
+        # vertical chains from the variable row to the clause row; below
+        # the axis each starts with a negation gadget, mirrored on the
+        # leftmost leg so its tail marker stays clear of the left corner's
+        # input selector when the clause row is adjacent
         for li, (col, var) in enumerate(cols):
-            leg = (var, positive, "a")
-            if positive:
-                for j in range(1, 3 * height - 1):
-                    add(GadgetKind.COPY4, pose_at(2 * col, j, _ROT_CCW),
-                        f"leg v{var} c{ci}", leg)
-            else:
-                # the negation gadget is mirrored on the leftmost leg so
-                # its tail marker stays clear of the left corner's
-                # input selector when the clause row is adjacent
-                not_matrix = (0, -1, -1, 0) if li == 0 and len(cols) > 1 \
-                    else _ROT_CW
-                add(GadgetKind.NOT, pose_at(2 * col, -1, not_matrix),
+            if not positive:
+                sx = -1 if li == 0 and len(cols) > 1 else 1
+                add(GadgetKind.NOT, pose_at(2 * col, -1, (0, sx, -1, 0)),
                     f"not v{var} c{ci}", (var, True, None))
-                for j in range(2, 3 * height - 1):
-                    add(GadgetKind.COPY4, pose_at(2 * col, -j, _ROT_CW),
-                        f"leg v{var} c{ci}", leg)
+            for j in range(1 if positive else 2, 3 * abs(row) - 1):
+                add(GadgetKind.COPY4,
+                    pose_at(2 * col, sy * j, (0, -sy, sy, 0)),
+                    f"leg v{var} c{ci}", (var, positive, "a"))
 
-        # clause row: corners feed copies toward the disjunction on the
-        # middle leg (a unit clause's only leg)
-        def add_corner(col: int, var: int, side: str) -> None:
-            add(GadgetKind.COPY6,
-                pose_at(2 * col, y, _CORNER[(side, positive)]),
+        # clause row: corners send their "in" arm toward the axis and their
+        # "out_s" arm toward the disjunction on the middle leg (a unit
+        # clause's only leg), with copies between
+        def add_corner(col: int, var: int, sx: int) -> None:
+            add(GadgetKind.COPY6, pose_at(2 * col, y, (0, sx, sy, 0)),
                 f"corner c{ci} v{var}", (var, positive, None),
                 drop_ports={"out_e", "out_n"})
 
@@ -287,17 +266,16 @@ def reduce_sat(formula: MonotoneFormula, rep: RectilinearRep
         arms = ("s",) if len(cols) == 1 else ("w", "s", "e")[:len(cols)]
         mid = cols[len(cols) > 1][0]
         if len(cols) > 1:
-            add_corner(*cols[0], "left")
+            add_corner(*cols[0], -1)
             add_row_copies(cols[0][0], mid, cols[0][1], "a")
-        add(GadgetKind.DISJUNCTION,
-            pose_at(2 * mid, y, _ID if positive else _MIRROR_Y),
+        add(GadgetKind.DISJUNCTION, pose_at(2 * mid, y, (1, 0, 0, sy)),
             f"clause c{ci}",
             (ci, tuple((arm, var, positive)
                        for arm, (_, var) in zip(arms, cols))),
             drop_ports={"w", "s", "e"} - set(arms))
         if len(cols) > 2:
             add_row_copies(mid, cols[2][0], cols[2][1], "b")
-            add_corner(*cols[2], "right")
+            add_corner(*cols[2], 1)
 
     assembly = assemble(gadgets)
     port_map = {var: assembly.mdisk_ids[(input_index[var], "port")]

@@ -2,21 +2,27 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import diskmerge
 from diskmerge.cli import generate_random, run
-from diskmerge.core import Assignment
+from diskmerge.core import Assignment, FormatError, Instance
 from diskmerge.fixtures import relaxed_only_instance, single_positive_clause
-from diskmerge.serialization import (parse_assignment, parse_instance,
-                                     serialize_assignment,
-                                     serialize_formula, serialize_instance,
-                                     serialize_rep)
+from diskmerge.formula import (Clause, MonotoneFormula, Polarity,
+                               RectilinearRep, validate_rep)
+from diskmerge.gadgets import GadgetKind, Pose, build_gadget
+from diskmerge.serialization import (instance_metadata, parse_formula,
+                                     parse_instance, parse_rep,
+                                     serialize_assignment, serialize_formula,
+                                     serialize_instance, serialize_rep)
 from diskmerge.solvers import collinearity_check
+from diskmerge.transforms import equalize_radii
 
 
 @pytest.fixture
@@ -27,6 +33,76 @@ def paths(tmp_path):
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def _positive(num_variables, *literals):
+    return MonotoneFormula(num_variables, tuple(
+        Clause(Polarity.POSITIVE, lits) for lits in literals))
+
+
+# input errors and their messages; a list is a CLI argv, in which
+# "INSTANCE" stands for an empty instance file, and must exit 1 with the
+# message as its one stderr line
+INPUT_ERRORS = [
+    pytest.param(lambda: MonotoneFormula(-1, ()),
+                 "negative variable count", id="negative-variables"),
+    pytest.param(lambda: validate_rep(
+        _positive(1, (1,)), RectilinearRep(((3, 1),), (1,), ((2,),))),
+        "bad variable segment (3,1)", id="reversed-segment"),
+    pytest.param(lambda: validate_rep(
+        _positive(1, (1,)), RectilinearRep(((0, 5),), (1,), ((1, 2),))),
+        "clause 0: one leg per literal required", id="leg-count"),
+    pytest.param(lambda: validate_rep(
+        _positive(1, (1,), (1,)),
+        RectilinearRep(((0, 5),), (1, 2), ((3,), (3,)))),
+        "leg columns must be distinct", id="shared-leg-column"),
+    pytest.param(lambda: parse_instance("[]"),
+                 "instance document must be an object", id="instance-array"),
+    pytest.param(lambda: instance_metadata(
+        '{"version":1,"disks":[],"metadata":[]}'),
+        "metadata must be an object", id="metadata-array"),
+    pytest.param(lambda: parse_formula(
+        '{"version":1,"variables":"2","clauses":[]}'),
+        "formula document needs integer 'variables'", id="variables-string"),
+    pytest.param(lambda: parse_formula(
+        '{"version":1,"variables":1,"clauses":[1]}'),
+        "each clause must be an object", id="clause-number"),
+    pytest.param(lambda: parse_rep('{"version":1}'),
+                 "drawing document needs a 'segments' list",
+                 id="no-segments"),
+    pytest.param(lambda: parse_rep('{"version":1,"segments":[[0]]}'),
+                 "each variable segment needs [lo, hi]", id="short-segment"),
+    pytest.param(lambda: build_gadget(GadgetKind.COPY4, Pose(),
+                                      drop_ports={"a"}),
+                 "cannot drop ports ['a'] of copy4", id="undroppable-port"),
+    pytest.param(lambda: build_gadget(GadgetKind.DISJUNCTION, Pose(),
+                                      drop_ports={"w", "s", "e"}),
+                 "disjunction needs at least one port", id="portless-or"),
+    pytest.param(lambda: build_gadget(GadgetKind.COPY4, Pose(),
+                                      with_absorber=True),
+                 "only the input gadget takes an absorber",
+                 id="copy-absorber"),
+    pytest.param(lambda: equalize_radii(Instance(()), Fraction(0)),
+                 "target radius must be positive", id="zero-radius"),
+    pytest.param(lambda: Assignment((2,)),
+                 "assignment target 2 out of range 1..1",
+                 id="target-out-of-range"),
+    pytest.param(["solve", "--collinear", "--relaxed", "INSTANCE"],
+                 "--relaxed requires --exact", id="cli-collinear-relaxed"),
+    pytest.param(["gen", "--n", "-1"], "n must be non-negative",
+                 id="cli-negative-n"),
+]
+
+
+@pytest.mark.parametrize("source, message", INPUT_ERRORS)
+def test_input_error_message(paths, capsys, source, message):
+    if isinstance(source, list):
+        inst = write(paths / "in.json", serialize_instance(Instance(())))
+        assert run([inst if a == "INSTANCE" else a for a in source]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    else:
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            source()
 
 
 class TestGenerateRandom:

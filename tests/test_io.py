@@ -217,6 +217,8 @@ SVG_PINS = {
         "05d8525d7881bcdd151e9f82b8921dcfc59bd83498173b221989f6c33f932d52",
     "sat-mixed_polarity":
         "255a75891fb14a7165226275201c0ba55dc7b38eb400504589729baddf3d7ec8",
+    "sat-nested_negative":
+        "016d168a185333972d3a7babb34c339ee815fcbaf6303590f5db7279068e5ef1",
     "sat-nested_positive":
         "d24637ba7d7a1eb01b520bba5de07b4e806b7403483257b20f02b04076b48117",
     "sat-single_negative":

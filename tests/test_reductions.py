@@ -10,8 +10,9 @@ import pytest
 from diskmerge.core import (Assignment, Disk, FormatError, Instance, Point,
                             _common_scale, _scaled, verify_proper,
                             verify_uproper)
-from diskmerge.fixtures import (FORMULA_FIXTURES, single_negative_clause,
-                                three_clause_formula)
+from diskmerge.fixtures import (FORMULA_FIXTURES,
+                                equalize_relaxed_rise_instance,
+                                single_negative_clause, three_clause_formula)
 from diskmerge.formula import (Clause, MonotoneFormula, Polarity,
                                RectilinearRep, grid_embed)
 from diskmerge.gadgets import GadgetKind, Pose, build_gadget, pose_at
@@ -20,8 +21,7 @@ from diskmerge.reduction import (ReductionError, assemble,
                                  extract_sat_assignment, port_harness,
                                  reduce_sat)
 from diskmerge.serialization import serialize_instance
-from diskmerge.solvers import (enumerate_proper_assignments,
-                               solve_exact_mcmd, solve_exact_rmcmd)
+from diskmerge.solvers import solve_exact_mcmd, solve_exact_rmcmd
 from diskmerge.transforms import (PartitionInput, equalize_radii,
                                   reduce_partition)
 
@@ -253,37 +253,6 @@ class TestAssembleReference:
             reference_assemble(art.gadgets)
 
 
-def port_states(kind):
-    g = build_gadget(kind, Pose())
-    asm = port_harness(g)
-    ids = {name: asm.mdisk_ids[(0, name)] for name, _ in g.ports}
-    own = {did for (gi, _), did in
-           list(asm.sdisk_ids.items()) + list(asm.mdisk_ids.items())
-           if gi == 0}
-    states = set()
-    for a in enumerate_proper_assignments(asm.instance):
-        states.add(frozenset(
-            n for n, did in ids.items()
-            if a.target[did - 1] in own and a.target[did - 1] != did))
-    return states
-
-
-class TestGadgetBehaviour:
-    def test_copy_transfers_exactly_one_port(self):
-        assert port_states(GadgetKind.COPY4) == \
-            {frozenset({"a"}), frozenset({"b"})}
-
-    def test_not_takes_both_or_neither(self):
-        assert port_states(GadgetKind.NOT) == \
-            {frozenset(), frozenset({"a", "b"})}
-
-    def test_disjunction_takes_any_nonempty_subset(self):
-        states = port_states(GadgetKind.DISJUNCTION)
-        assert frozenset() not in states
-        assert all(len(s) >= 1 for s in states)
-        assert len(states) == 7
-
-
 class TestReduceSat:
     def test_artifact_structure(self):
         f, rep = three_clause_formula()
@@ -330,6 +299,8 @@ SAT_PINS = {
                         "bf0be583537b7b70216a4a1499695d8"),
     "nested_positive": ("11/50625", "37defcccf0689bb4557835d605c1ef1b3"
                         "84ac5284a768b716e821054ec0fdddc"),
+    "nested_negative": ("289/2862000", "1cc0c02dfab744a670c5e2581a970442"
+                        "749e48a2b83d129a21c69a6266bbbaa0"),
     "mixed_polarity": ("289/1462800", "44453d2bdfd11279a2da151e34713f77"
                        "c0433d380b907a876bf6e85c048a8969"),
     "unit_clause": ("11/3375", "aac5b5cd53c768b75e568c2ced80de87"
@@ -445,10 +416,7 @@ class TestEqualizeRadii:
         # equalize_radii does not preserve the relaxed optimum: the two
         # copies of disk 3 (split ids 3 and 4) merge into different
         # targets (2 and 5), which the unsplit disk 3 cannot do
-        inst = Instance([Disk(1, Point(F(3, 4), F(-1, 2)), F(1)),
-                         Disk(2, Point(F(1, 2), F(1, 4)), F(1)),
-                         Disk(3, Point(F(-3, 4), F(-1, 2)), F(2)),
-                         Disk(4, Point(F(-7, 4), F(-7, 4)), F(2))])
+        inst = equalize_relaxed_rise_instance()
         eq = equalize_radii(inst, F(1)).instance
         assert solve_exact_rmcmd(inst).cardinality == 1
         relaxed = solve_exact_rmcmd(eq)
