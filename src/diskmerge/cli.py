@@ -22,7 +22,8 @@ from .reduction import reduce_sat
 from .serialization import (_dump, _parse_int, parse_assignment,
                             parse_formula, parse_instance, parse_rep,
                             serialize_assignment, serialize_instance)
-from .solvers import solve_collinear, solve_exact_mcmd, solve_exact_rmcmd
+from .solvers import (MAX_N, solve_collinear, solve_exact_mcmd,
+                      solve_exact_rmcmd)
 from .svg import render_svg
 from .transforms import PartitionInput, equalize_radii, reduce_partition
 
@@ -106,11 +107,10 @@ def _cmd_reduce_partition(args) -> int:
     ints = [_parse_int(v) for v in args.values.split(",")]
     if None in ints:
         raise FormatError(f"bad --values list: {args.values!r}")
-    values = tuple(Fraction(v) for v in ints)
-    inp = PartitionInput(values, parse_rational(args.e))
+    inp = PartitionInput(tuple(ints), parse_rational(args.e))
     instance = reduce_partition(inp)
     meta = {"kind": "partition-reduction",
-            "values": [str(v) for v in values],
+            "values": [str(v) for v in inp.values],
             "e": format_rational(inp.e)}
     _write_out(serialize_instance(instance, meta), args.output)
     return 0
@@ -196,7 +196,7 @@ def _build_parser() -> _Parser:
                      help="exhaustive search (small instances)")
     p.add_argument("--relaxed", action="store_true",
                    help="relaxed merge rules (with --exact)")
-    p.add_argument("--max-n", type=int, default=9,
+    p.add_argument("--max-n", type=int, default=MAX_N,
                    help="refuse exhaustive search above this size")
     add_mode(p)
     p.add_argument("instance")
@@ -258,10 +258,7 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -36,7 +36,9 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 def _load(text: str) -> Any:
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except FormatError:
+        raise  # a duplicate key, already worded
+    except ValueError as exc:  # bad JSON, or an int past the digit limit
         raise FormatError(f"malformed document: {exc}") from exc
     except RecursionError:
         raise FormatError("malformed document: nested too deeply") from None

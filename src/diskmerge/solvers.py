@@ -34,6 +34,8 @@ from .core import (
 FEASIBLE = "FEASIBLE"
 INFEASIBLE = "INFEASIBLE"
 
+MAX_N = 9  # the exact oracles' default size limit
+
 
 @dataclass
 class SolveResult:
@@ -161,7 +163,7 @@ def enumerate_proper_assignments(
 def solve_exact_mcmd(
     instance: Instance,
     mode: DisjointnessMode = DisjointnessMode.MAX,
-    max_n: int = 9,
+    max_n: int = MAX_N,
 ) -> SolveResult:
     """Optimal strict-rules solver by exhaustive search (tiny instances).
 
@@ -190,7 +192,7 @@ def solve_exact_mcmd(
 def solve_exact_rmcmd(
     instance: Instance,
     mode: DisjointnessMode = DisjointnessMode.MAX,
-    max_n: int = 9,
+    max_n: int = MAX_N,
 ) -> SolveResult:
     """Optimal relaxed-rules solver by exact branch and bound.
 
@@ -222,10 +224,7 @@ def solve_exact_rmcmd(
 def collinearity_check(instance: Instance) -> Optional[tuple[int, ...]]:
     """If all centres are collinear, return the ids ordered along the line
     (ties broken by id); otherwise return ``None``."""
-    n = instance.n
-    ids = list(range(1, n + 1))
-    if n <= 1:
-        return tuple(ids)
+    ids = list(range(1, instance.n + 1))
     xs, ys = instance._x, instance._y  # scaled ints
     direction = None
     for i in ids[1:]:
@@ -256,15 +255,16 @@ def solve_collinear(
     assigned, ``y`` is the right-most selected disk, ``z`` the right-most
     disk whose centre its aggregate covers, and ``j`` the length of
     ``y``'s prefix, which the ``SUM`` disjointness rule needs.  Such a
-    state is fixed by its window ``(y, j)``: a tuple ``(a, b, A, B)`` of
-    the outermost positions of the disk and its prefix (``a``, ``b``) and
-    of the centres strictly inside its aggregate (``A``, ``B``), so
-    ``x = b`` and ``z = B``.  The window is ``None`` when a skipped
-    same-centre sibling leaves a gap, which no assignment completes.
-    There are at most ``n^2`` windows, one per position and feasible
-    prefix length.  The DP finds a longest chain of windows that starts
-    at ``a = 1`` and ends at ``b = n``, in which each window starts one
-    past the ``b`` of the window before and is centre-disjoint from it.
+    state is fixed by its window ``(y, j)``: the outermost positions of
+    the disk and its prefix (``a``, ``b``) and of the centres strictly
+    inside its aggregate (``A``, ``B``), so ``x = b`` and ``z = B``.
+    Each feasible window is one record in a flat list, scored by index.
+    A prefix whose positions leave a gap (a skipped same-centre sibling)
+    has no record, since no assignment completes it.  There are at most
+    ``n^2`` windows, one per position and feasible prefix length.  The
+    DP finds a longest chain of windows that starts at ``a = 1`` and
+    ends at ``b = n``, in which each window starts one past the ``b`` of
+    the window before and is centre-disjoint from it.
 
     Indexed by right end, a transition into ``(a, b, A, B)`` examines only
     the windows that end at ``a - 1`` and belong to a disk left of ``A``:
@@ -286,99 +286,88 @@ def solve_collinear(
     for p, disk_id in enumerate(order, start=1):
         pos_of[disk_id] = p
 
-    # windows[p][k]: the window of prefix k of the disk at position p;
-    # ending_at[b]: (p, k, B) for the feasible windows that end at b, in
-    # ascending (p, k) order -- a predecessor of window (a, b, A, B) ends
-    # at a - 1 and starts left of A
-    aggs = [()] + [instance._reach(id_at[p]) for p in range(1, n + 1)]
-    windows: list[list[Optional[tuple[int, int, int, int]]]] = [[]]
+    # wins: one record (a, b, A, B, y, R) per feasible window, in
+    # ascending (y, prefix length); R is the prefix's aggregate.
+    # ending_at[b]: (y, B, index) of the windows that end at b, in list
+    # order -- a predecessor of window (a, b, A, B) ends at a - 1 and
+    # starts left of A
+    wins: list[tuple[int, int, int, int, int, int]] = []
     ending_at: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
-    for p in range(1, n + 1):
+    for y in range(1, n + 1):
         # the centres strictly inside prefix j's aggregate are the walk's
-        # pairs with d2 < reach**2: a run from its start that lengthens
-        # with j and ends inside the feasible prefix (_reach stopped at
-        # the first centre outside the last aggregate).  On a line they
-        # fill the positions A..B around p.
-        pairs = instance._walk(id_at[p], len(aggs[p]) - 1)
-        wrow = []
-        lo = hi = A = B = p
+        # pairs with d2 < R**2: a run from its start that lengthens with
+        # j and ends inside the feasible prefix (_reach stopped at the
+        # first centre outside the last aggregate).  On a line they fill
+        # the positions A..B around y.
+        reach = instance._reach(id_at[y])
+        pairs = instance._walk(id_at[y], len(reach) - 1)
+        lo = hi = A = B = y
         inside = 0
-        for j, reach in enumerate(aggs[p]):
+        for j, R in enumerate(reach):
             if j:
                 q = pos_of[pairs[j - 1][1]]
                 lo, hi = min(lo, q), max(hi, q)
-            if hi - lo == j:
-                r2 = reach * reach
-                while inside < len(pairs) and pairs[inside][0] < r2:
-                    q = pos_of[pairs[inside][1]]
-                    if q < A:
-                        A = q
-                    elif q > B:
-                        B = q
-                    inside += 1
-                wrow.append((lo, hi, A, B))
-                ending_at[hi].append((p, j, B))
-            else:
-                wrow.append(None)
-        windows.append(wrow)
+            if hi - lo != j:
+                continue               # a gap: no assignment completes it
+            r2 = R * R
+            while inside < len(pairs) and pairs[inside][0] < r2:
+                q = pos_of[pairs[inside][1]]
+                if q < A:
+                    A = q
+                elif q > B:
+                    B = q
+                inside += 1
+            ending_at[hi].append((y, B, len(wins)))
+            wins.append((lo, hi, A, B, y, R))
 
-    # best[y][j]: the most windows in a chain that covers positions 1..b
-    # and ends with window (y, j), 0 if there is none; pred[y][j]: the
-    # window (t, k) before it in the first such chain found
-    best = [[0] * len(row) for row in windows]
-    pred: list[list[Optional[tuple[int, int]]]] = [
-        [None] * len(row) for row in windows]
+    # best[w]: the most windows in a chain that covers positions 1..b and
+    # ends with window w, 0 if there is none; pred[w]: the window before
+    # it in the first such chain found
+    best = [0] * len(wins)
+    pred: list[Optional[int]] = [None] * len(wins)
     transitions = entries = 0
+    sum_rule = mode is DisjointnessMode.SUM
 
-    for y in range(1, n + 1):
-        for j, w in enumerate(windows[y]):
-            if w is None:
+    for w, (a, _, A, _, y, R) in enumerate(wins):
+        score = 1 if a == 1 else 0     # and ending_at[0] is empty
+        for t, Bt, v in ending_at[a - 1]:
+            if t >= A:
+                break
+            transitions += 1
+            # t < A and Bt < y: neither centre lies strictly inside the
+            # other aggregate, which is the MAX rule
+            if Bt >= y:
                 continue
-            a, _, A, _ = w
-            if a == 1:
-                best[y][j] = 1         # and ending_at[0] is empty
-            for t, k, Bt in ending_at[a - 1]:
-                if t >= A:
-                    break
-                transitions += 1
-                # t < A and Bt < y: neither centre lies strictly inside
-                # the other aggregate, which is the MAX rule
-                if Bt >= y:
-                    continue
-                if mode is DisjointnessMode.SUM and not centre_disjoint(
-                        instance._d2(id_at[t], id_at[y]),
-                        aggs[t][k], aggs[y][j], mode):
-                    continue
-                prev = best[t][k]
-                if prev and prev + 1 > best[y][j]:
-                    best[y][j] = prev + 1
-                    pred[y][j] = (t, k)
-            entries += best[y][j] > 0
+            if sum_rule and not centre_disjoint(
+                    instance._d2(id_at[t], id_at[y]), wins[v][5], R, mode):
+                continue
+            prev = best[v]
+            if prev and prev + 1 > score:
+                score = prev + 1
+                pred[w] = v
+        best[w] = score
+        entries += score > 0
 
     # a prefix lies strictly inside its aggregate, so A <= a and B >= b:
-    # a window that ends at n also has z = B = n.  The first longest
-    # chain that ends there wins.
-    best_val, last = 0, None
-    for t, k, _ in ending_at[n]:
-        if best[t][k] > best_val:
-            best_val, last = best[t][k], (t, k)
-
+    # a window that ends at n also has z = B = n.  The single-disk window
+    # at position n is one of them; the first longest chain wins.
+    last = max((v for _, _, v in ending_at[n]), key=best.__getitem__)
     stats = {"transitions": transitions, "entries": entries}
-    if last is None:
+    if not best[last]:
         return SolveResult(INFEASIBLE, 0, None, stats)
+    cardinality = best[last]
 
     # reconstruct: each window of the chain maps its positions a..b, the
     # disk and its prefix, to the disk
     target = [0] * (n + 1)
     while last is not None:
-        y, j = last
-        a, b, _, _ = windows[y][j]
+        a, b, _, _, y, _ = wins[last]
         for p in range(a, b + 1):
             target[id_at[p]] = id_at[y]
-        last = pred[y][j]
+        last = pred[last]
     assignment = Assignment(tuple(target[1:]))
     report = verify_proper(instance, assignment, mode)
     if not report.ok:  # pragma: no cover - internal consistency guard
         raise AssertionError(
             f"DP reconstruction failed verification: {report.violations}")
-    return SolveResult(FEASIBLE, best_val, assignment, stats)
+    return SolveResult(FEASIBLE, cardinality, assignment, stats)

@@ -72,6 +72,20 @@ INPUT_ERRORS = [
                  id="no-segments"),
     pytest.param(lambda: parse_rep('{"version":1,"segments":[[0]]}'),
                  "each variable segment needs [lo, hi]", id="short-segment"),
+    pytest.param(lambda: parse_rep('{"version":1,"segments":[[0,"1"]]}'),
+                 "variable segment must be a list of integers",
+                 id="string-segment-end"),
+    pytest.param(lambda: parse_rep(
+        '{"version":1,"segments":[[0,1]],"rows":[1]}'),
+        "drawing document needs a 'legs' list", id="no-legs"),
+    pytest.param(lambda: parse_formula('{"version":1,"variables":1}'),
+                 "formula document needs a 'clauses' list", id="no-clauses"),
+    pytest.param(lambda: validate_rep(
+        _positive(2, (1,)), RectilinearRep(((0, 5),), (1,), ((1,),))),
+        "one segment per variable required", id="segment-count"),
+    pytest.param(lambda: validate_rep(
+        _positive(1, (1,)), RectilinearRep(((0, 5),), (1, 2), ((1,),))),
+        "one row and leg list per clause required", id="row-count"),
     pytest.param(lambda: build_gadget(GadgetKind.COPY4, Pose(),
                                       drop_ports={"a"}),
                  "cannot drop ports ['a'] of copy4", id="undroppable-port"),
@@ -87,6 +101,8 @@ INPUT_ERRORS = [
     pytest.param(lambda: Assignment((2,)),
                  "assignment target 2 out of range 1..1",
                  id="target-out-of-range"),
+    pytest.param(lambda: generate_random(3, "cube", 0),
+                 "unknown profile 'cube'", id="unknown-profile"),
     pytest.param(["solve", "--collinear", "--relaxed", "INSTANCE"],
                  "--relaxed requires --exact", id="cli-collinear-relaxed"),
     pytest.param(["gen", "--n", "-1"], "n must be non-negative",
@@ -164,10 +180,18 @@ class TestSolveAndVerify:
         assert captured.out == ""
         assert captured.err == "error: instance is not collinear\n"
 
-    def test_max_n_guard(self, paths):
+    def test_max_n_guard(self, paths, capsys):
         inp = write(paths / "in.json",
                     serialize_instance(generate_random(5, "collinear", 3)))
         assert run(["solve", "--exact", "--max-n", "3", inp]) == 1
+        # the default limit is the oracles' own
+        big = write(paths / "big.json",
+                    serialize_instance(generate_random(10, "planar", 1)))
+        capsys.readouterr()
+        assert run(["solve", "--exact", big]) == 1
+        assert capsys.readouterr().err == \
+            "error: instance size 10 exceeds oracle limit 9\n"
+        assert run(["solve", "--exact", "--max-n", "10", big]) == 0
 
 
 class TestReduceCommands:
@@ -226,6 +250,12 @@ class TestOtherCommands:
                     "--seed", "9", "-o", out]) == 0
         assert parse_instance(Path(out).read_text(encoding="utf-8")).n == 4
 
+    def test_gen_writes_document_to_stdout(self, capsys):
+        assert run(["gen", "--n", "3", "--seed", "2"]) == 0
+        assert capsys.readouterr().out == serialize_instance(
+            generate_random(3, "collinear", 2),
+            {"kind": "random", "profile": "collinear", "seed": 2})
+
     def test_usage_errors_exit_one(self, capsys):
         for argv in ([], ["bogus"],
                      ["solve", "in.json"],  # neither --collinear nor --exact
@@ -251,6 +281,8 @@ class TestOtherCommands:
         pytest.param(b"[" * 100_000 + b"]" * 100_000, id="deep-json"),
         pytest.param(b'{"version":1,"disks":[{"id":1,"x":"' + b"1" * 5000 +
                      b'","y":"0","r":"1"}]}', id="5000-digit-rational"),
+        pytest.param(b'{"version":1,"disks":[{"id":' + b"1" * 5000 +
+                     b',"x":"0","y":"0","r":"1"}]}', id="5000-digit-json-int"),
         pytest.param('{"version":1,"disks":[{"id":1,"x":"1\\n","y":"\u0663",'
                      '"r":"1"}]}'.encode(), id="non-ascii-numerals"),
     ])

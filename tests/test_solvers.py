@@ -252,6 +252,11 @@ def bench_lines():
 BENCH_LINES_DIGEST = \
     "25b565c241ea94b01d1eda67058cbd9dc5f7ad5ff5bc0cc59ac68b6c2b013853"
 
+# the same digest over DP_CORPUS, whose lines have gapped prefixes,
+# recorded while such a prefix still had a None window
+DP_CORPUS_DIGEST = \
+    "a587f60c4147140d99935155d3f18d40583cc79dd68f965a793295cde4293ee6"
+
 
 @st.composite
 def shared_centre_lines(draw):
@@ -452,6 +457,20 @@ class TestSolveCollinear:
                     target, result.stats["transitions"],
                     result.stats["entries"])).encode())
         assert digest.hexdigest() == BENCH_LINES_DIGEST
+
+    def test_dp_corpus_pinned(self):
+        # as above, on the lines where gapped prefixes get no window
+        digest = hashlib.sha256()
+        for name, inst in DP_CORPUS:
+            for mode in (MAX, SUM):
+                result = solve_collinear(inst, mode)
+                target = result.assignment.target if result.feasible \
+                    else None
+                digest.update(repr((
+                    name, mode.value, result.status, result.cardinality,
+                    target, result.stats["transitions"],
+                    result.stats["entries"])).encode())
+        assert digest.hexdigest() == DP_CORPUS_DIGEST
 
     @settings(max_examples=150, deadline=None)
     @given(shared_centre_lines())
