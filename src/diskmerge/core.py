@@ -49,7 +49,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 # ASCII digits only, matched with fullmatch: ``\d`` would take any Unicode
 # digit and ``$`` a trailing newline
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _INT_RE = re.compile(r"0|-?[1-9][0-9]*")  # canonical ints only
 
 
@@ -59,23 +59,26 @@ class FormatError(ValueError):
 
 def parse_rational(value) -> Fraction:
     """Parse an exact rational from an int or a ``"p/q"`` / integer string."""
+    if isinstance(value, str):
+        match = _RATIONAL_RE.fullmatch(value)
+        if match is None:
+            raise FormatError(f"not a rational number: {value!r}")
+        num, den = match.groups()
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError:  # more digits than int() converts
+            raise FormatError(
+                f"rational has too many digits ({len(value)} characters)"
+            ) from None
+        if den == 0:
+            raise FormatError(f"zero denominator: {value!r}")
+        return Fraction(num, den)
     if isinstance(value, bool):
         raise FormatError(f"not a rational number: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, str):
-        if not _RATIONAL_RE.fullmatch(value):
-            raise FormatError(f"not a rational number: {value!r}")
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise FormatError(f"zero denominator: {value!r}") from None
-        except ValueError:  # more digits than int() converts
-            raise FormatError(
-                f"rational has too many digits ({len(value)} characters)"
-            ) from None
     raise FormatError(f"not a rational number: {value!r}")
 
 
@@ -149,16 +152,30 @@ class Instance:
 
     def __init__(self, disks: Iterable[Disk]):
         disks = tuple(sorted(disks, key=lambda d: d.id))
-        ids = [d.id for d in disks]
-        if ids != list(range(1, len(disks) + 1)):
-            raise FormatError(f"disk ids must be exactly 1..n, got {ids}")
+        if any(d.id != i for i, d in enumerate(disks, start=1)):
+            raise FormatError(f"disk ids must be exactly 1..n, "
+                              f"got {[d.id for d in disks]}")
         self.disks = disks
         self.n = len(disks)
-        self._scale = L = _common_scale(
-            v for d in disks for v in (d.center.x, d.center.y, d.radius))
-        self._x = (0,) + tuple(_scaled(d.center.x, L) for d in disks)
-        self._y = (0,) + tuple(_scaled(d.center.y, L) for d in disks)
-        self._r = (0,) + tuple(_scaled(d.radius, L) for d in disks)
+        # one pass reads each value's numerator and denominator once and
+        # scales it by the lcm of the denominators read so far; each run
+        # of disks read before the last growth of that lcm is rescaled
+        L, grown = 1, [(1, 1)]  # (first disk id, L) at each growth
+        xs, ys, rs = [0], [0], [0]
+        for d in disks:
+            x, y, r = d.center.x, d.center.y, d.radius
+            qx, qy, qr = x.denominator, y.denominator, r.denominator
+            if L % qx or L % qy or L % qr:
+                L = lcm(L, qx, qy, qr)
+                grown.append((d.id, L))
+            xs.append(x.numerator * (L // qx))
+            ys.append(y.numerator * (L // qy))
+            rs.append(r.numerator * (L // qr))
+        for (start, old), (stop, _) in zip(grown, grown[1:]):
+            for col in (xs, ys, rs):
+                col[start:stop] = [v * (L // old) for v in col[start:stop]]
+        self._scale = L
+        self._x, self._y, self._r = tuple(xs), tuple(ys), tuple(rs)
         for i in range(1, self.n + 1):  # L > 0 keeps each sign
             if self._r[i] <= 0:
                 raise FormatError(f"disk {i} has non-positive radius")

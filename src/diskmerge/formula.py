@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 from .core import FormatError
 
@@ -74,7 +75,10 @@ def validate_rep(formula: MonotoneFormula, rep: RectilinearRep) -> None:
     as far from the axis lies strictly inside that clause's span.  Two
     clauses on one row cannot overlap without breaking it, since a leg
     of one that lies in the other's span cannot share a column with
-    either end of that span, and so lies strictly inside.
+    either end of that span, and so lies strictly inside.  The error
+    names the first clause that a leg crosses and the first such leg, in
+    clause order; a range max over the legs sorted by side and column
+    finds that clause in O((legs + clauses) log legs).
     """
     if len(rep.variable_segments) != formula.num_variables:
         raise FormatError("one segment per variable required")
@@ -108,12 +112,50 @@ def validate_rep(formula: MonotoneFormula, rep: RectilinearRep) -> None:
     if len(set(cols_seen)) != len(cols_seen):
         raise FormatError("leg columns must be distinct")
 
-    for ci, (row, cols) in enumerate(zip(rep.clause_rows, rep.legs)):
+    ci = _first_crossed_clause(rep)
+    if ci is not None:  # word it as the first leg in clause order
+        row, cols = rep.clause_rows[ci], rep.legs[ci]
         lo, hi = min(cols), max(cols)
-        for col, lrow, lci in all_legs:
-            if lci != ci and lrow * row > 0 and abs(lrow) >= abs(row) \
-                    and lo < col < hi:
-                raise FormatError(f"leg of clause {lci} crosses clause {ci}")
+        lci = next(lci for col, lrow, lci in all_legs
+                   if lci != ci and lrow * row > 0 and abs(lrow) >= abs(row)
+                   and lo < col < hi)
+        raise FormatError(f"leg of clause {lci} crosses clause {ci}")
+
+
+def _range_max(values: list[int]):
+    """``query(i, j)``, the max of ``values[i:j]`` (0 when empty), from a
+    sparse table: level ``k`` holds the max of each run of ``2**k``."""
+    levels = [values]
+    while 2 ** len(levels) <= len(values):
+        prev, half = levels[-1], 2 ** (len(levels) - 1)
+        levels.append([max(a, b) for a, b in zip(prev, prev[half:])])
+
+    def query(i: int, j: int) -> int:
+        if i >= j:
+            return 0
+        k = (j - i).bit_length() - 1
+        return max(levels[k][i], levels[k][j - 2 ** k])
+    return query
+
+
+def _first_crossed_clause(rep: RectilinearRep) -> Optional[int]:
+    """The least index of a clause that a leg crosses under
+    :func:`validate_rep`'s rule, or ``None``; leg columns must be
+    distinct.  With the legs sorted by side of the axis, then column, the
+    foreign legs strictly inside a clause's span on its side are at most
+    two runs (its own middle leg splits them), and a range max of their
+    ``|row|`` decides, in O((legs + clauses) log legs)."""
+    order = sorted((row > 0, col, abs(row))
+                   for row, cols in zip(rep.clause_rows, rep.legs)
+                   for col in cols)
+    pos = {col: k for k, (_, col, _) in enumerate(order)}
+    query = _range_max([depth for _, _, depth in order])
+    for ci, (row, cols) in enumerate(zip(rep.clause_rows, rep.legs)):
+        ends = sorted(pos[col] for col in cols)
+        if max((query(a + 1, b) for a, b in zip(ends, ends[1:])),
+               default=0) >= abs(row):
+            return ci
+    return None
 
 
 def grid_embed(formula: MonotoneFormula, rep: RectilinearRep

@@ -13,9 +13,13 @@ leaves it to the neighbour.  The achievable combinations are:
 * NOT        — absorbs both ports or neither.
 * DISJUNCTION — absorbs any non-empty subset of its ports.
 
-All coordinates are exact rationals on a unit-scale local frame; poses
-map them onto the global layout (ports stay on lattice points because
-pose matrices are signed permutations with integer translations).
+Each gadget's local frame is stored once, as ints over one common
+denominator (``_DEN``, 120); radii are exact Fractions.  A pose maps a
+frame onto the global layout: a signed permutation matrix and an exact
+rational offset.  It does the arithmetic in ints and makes one Fraction
+per coordinate.  Ports stay on lattice points whenever the offset is an
+integer point, as every pose of :func:`~diskmerge.reduction.reduce_sat`
+is.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .core import FormatError, Point
+from .core import FormatError, Point, _common_scale, _scaled
 
 F = Fraction
 
@@ -56,51 +60,58 @@ class Pose:
                               f"{self.matrix}")
 
     def apply(self, p: Point) -> Point:
+        den = _common_scale((p.x, p.y))
+        return self._place(_scaled(p.x, den), _scaled(p.y, den), den)
+
+    def _place(self, x: int, y: int, den: int) -> Point:
+        """:meth:`apply` to the point ``(x / den, y / den)``: the matrix
+        acts on the ints, and the offset joins over the common
+        denominator, so each coordinate is one ``Fraction(int, int)``."""
         a, b, c, d = self.matrix
-        return Point(a * p.x + b * p.y + self.offset.x,
-                     c * p.x + d * p.y + self.offset.y)
+        ox, oy = self.offset.x, self.offset.y
+        qx, qy = ox.denominator, oy.denominator
+        return Point(F((a * x + b * y) * qx + ox.numerator * den, den * qx),
+                     F((c * x + d * y) * qy + oy.numerator * den, den * qy))
 
 
 def pose_at(x, y, matrix=(1, 0, 0, 1)) -> Pose:
     return Pose(matrix, Point(F(x), F(y)))
 
 
-# local frames; ports are the lattice-anchored shared mdisks
+# local frames, every coordinate an int in units of 1/_DEN; radii are
+# not moved by a pose and stay Fractions.  Ports are the lattice-anchored
+# shared mdisks.
+_DEN = 120
+
 _SDISKS = {
-    GadgetKind.INPUT: (("main", Point(F(-11, 20), F(0)), F(29, 50)),),
-    GadgetKind.COPY4: (("sa", Point(F(3, 10), F(0)), F(1, 3)),
-                       ("sb", Point(F(7, 10), F(0)), F(1, 3))),
-    GadgetKind.COPY6: (("s_in", Point(F(-9, 10), F(1, 2)), F(11, 20)),
-                       ("s_out", Point(F(1, 8), F(0)), F(21, 20))),
-    GadgetKind.NOT: (("s_pass", Point(F(9, 20), F(1, 5)), F(31, 50)),
-                     ("s_idle", Point(F(9, 20), F(-1, 2)), F(14, 25))),
-    GadgetKind.DISJUNCTION: (("s_w", Point(F(-11, 20), F(0)), F(14, 25)),
-                             ("s_s", Point(F(0), F(-11, 20)), F(14, 25)),
-                             ("s_e", Point(F(11, 20), F(0)), F(14, 25))),
+    GadgetKind.INPUT: (("main", (-66, 0), F(29, 50)),),
+    GadgetKind.COPY4: (("sa", (36, 0), F(1, 3)),
+                       ("sb", (84, 0), F(1, 3))),
+    GadgetKind.COPY6: (("s_in", (-108, 60), F(11, 20)),
+                       ("s_out", (15, 0), F(21, 20))),
+    GadgetKind.NOT: (("s_pass", (54, 24), F(31, 50)),
+                     ("s_idle", (54, -60), F(14, 25))),
+    GadgetKind.DISJUNCTION: (("s_w", (-66, 0), F(14, 25)),
+                             ("s_s", (0, -66), F(14, 25)),
+                             ("s_e", (66, 0), F(14, 25))),
 }
 
 _MDISKS = {
-    GadgetKind.INPUT: (("int", Point(F(-3, 10), F(0))),),
-    GadgetKind.COPY4: (("block", Point(F(1, 2), F(0))),
-                       ("tail", Point(F(1, 2), F(1, 4)))),
-    GadgetKind.COPY6: (("block", Point(F(-1, 2), F(1, 4))),
-                       ("tail", Point(F(-1, 2), F(5, 6)))),
-    GadgetKind.NOT: (("block", Point(F(9, 20), F(0))),
-                     ("tail", Point(F(9, 10), F(-1, 5)))),
-    GadgetKind.DISJUNCTION: (("core", Point(F(0), F(0))),),
+    GadgetKind.INPUT: (("int", (-36, 0)),),
+    GadgetKind.COPY4: (("block", (60, 0)), ("tail", (60, 30))),
+    GadgetKind.COPY6: (("block", (-60, 30)), ("tail", (-60, 100))),
+    GadgetKind.NOT: (("block", (54, 0)), ("tail", (108, -24))),
+    GadgetKind.DISJUNCTION: (("core", (0, 0)),),
 }
 
 _PORTS = {
-    GadgetKind.INPUT: (("port", Point(F(0), F(0))),),
-    GadgetKind.COPY4: (("a", Point(F(0), F(0))), ("b", Point(F(1), F(0)))),
-    GadgetKind.COPY6: (("in", Point(F(-1), F(0))),
-                       ("out_e", Point(F(1), F(0))),
-                       ("out_n", Point(F(0), F(1))),
-                       ("out_s", Point(F(0), F(-1)))),
-    GadgetKind.NOT: (("a", Point(F(0), F(0))), ("b", Point(F(1), F(0)))),
-    GadgetKind.DISJUNCTION: (("w", Point(F(-1), F(0))),
-                             ("s", Point(F(0), F(-1))),
-                             ("e", Point(F(1), F(0)))),
+    GadgetKind.INPUT: (("port", (0, 0)),),
+    GadgetKind.COPY4: (("a", (0, 0)), ("b", (120, 0))),
+    GadgetKind.COPY6: (("in", (-120, 0)), ("out_e", (120, 0)),
+                       ("out_n", (0, 120)), ("out_s", (0, -120))),
+    GadgetKind.NOT: (("a", (0, 0)), ("b", (120, 0))),
+    GadgetKind.DISJUNCTION: (("w", (-120, 0)), ("s", (0, -120)),
+                             ("e", (120, 0))),
 }
 
 # ports that may be omitted (unused arms of crossings and small clauses)
@@ -111,8 +122,8 @@ _DROPPABLE = {
 
 # absorber half of the Input gadget, added when its port has no
 # neighbouring gadget so that "not absorbed by main" stays realizable
-_INPUT_ABSORBER_SDISK = ("absorber", Point(F(11, 20), F(0)), F(29, 50))
-_INPUT_ABSORBER_MDISK = ("absint", Point(F(3, 10), F(0)))
+_INPUT_ABSORBER_SDISK = ("absorber", (66, 0), F(29, 50))
+_INPUT_ABSORBER_MDISK = ("absint", (36, 0))
 
 
 @dataclass(frozen=True)
@@ -149,12 +160,13 @@ def build_gadget(kind: GadgetKind, pose: Pose,
         sdisks.append(_INPUT_ABSORBER_SDISK)
         mdisks.append(_INPUT_ABSORBER_MDISK)
 
+    place = pose._place
     return Gadget(
         kind=kind,
         pose=pose,
-        sdisks=tuple((n, pose.apply(p), r) for n, p, r in sdisks),
-        mdisks=tuple((n, pose.apply(p)) for n, p in mdisks),
-        ports=tuple((n, pose.apply(p)) for n, p in _PORTS[kind]
+        sdisks=tuple((n, place(*p, _DEN), r) for n, p, r in sdisks),
+        mdisks=tuple((n, place(*p, _DEN)) for n, p in mdisks),
+        ports=tuple((n, place(*p, _DEN)) for n, p in _PORTS[kind]
                     if n not in drop),
         role=role,
     )

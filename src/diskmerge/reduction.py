@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (Assignment, Disk, DisjointnessMode, FormatError, Instance,
-                   Point, verify_proper)
+                   verify_proper)
 from .formula import MonotoneFormula, RectilinearRep, grid_embed
 from .gadgets import Gadget, GadgetKind, Pose, build_gadget, pose_at
 
@@ -65,22 +65,30 @@ def assemble(gadgets: Sequence[Gadget]) -> Assembly:
     disks: list[Disk] = []
     sdisk_ids: dict[tuple[int, str], int] = {}
     mdisk_ids: dict[tuple[int, str], int] = {}
-    point_id: dict[Point, int] = {}
+    # marker centres keyed by their numerators and denominators, which
+    # hash as ints; equal Fractions have equal lowest terms
+    point_id: dict[tuple[int, int, int, int], int] = {}
     own_markers: list[set[int]] = []
     for gi, g in enumerate(gadgets):
         for name, p, r in g.sdisks:
             disks.append(Disk(len(disks) + 1, p, r))
             sdisk_ids[(gi, name)] = len(disks)
+        own = set()
         for name, p in g.mdisks + g.ports:
-            if p not in point_id:
+            key = (p.x.numerator, p.x.denominator,
+                   p.y.numerator, p.y.denominator)
+            pid = point_id.get(key)
+            if pid is None:
                 disks.append(Disk(len(disks) + 1, p, F(1)))
-                point_id[p] = len(disks)
-            mdisk_ids[(gi, name)] = point_id[p]
-        own_markers.append({point_id[p] for _, p in g.mdisks + g.ports})
+                pid = point_id[key] = len(disks)
+            mdisk_ids[(gi, name)] = pid
+            own.add(pid)
+        own_markers.append(own)
 
     if any(c > 2 for c in Counter(mdisk_ids.values()).values()):
         raise ReductionError("a port is shared by more than two gadgets")
     markers = list(point_id.values())
+    del point_id  # its key tuples would stay alive through the walks
     k = len(markers)
     if k == 0:
         raise ReductionError("no marker disks")

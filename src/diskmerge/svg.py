@@ -49,11 +49,11 @@ def render_svg(instance: Instance,
     # margin is 1
     L = margin = instance._scale
     xs, ys, rs = instance._x, instance._y, instance._r
+    ids = range(1, instance.n + 1)
     if instance.n == 0:
         min_x = min_y = -margin
         max_x = max_y = margin
     else:
-        ids = range(1, instance.n + 1)
         spans = [(i, rs[i]) for i in ids] + list(aggs.items())
         min_x = min(xs[i] - r for i, r in spans) - margin
         max_x = max(xs[i] + r for i, r in spans) + margin
@@ -63,11 +63,10 @@ def render_svg(instance: Instance,
     def length(v: int) -> str:
         return _fmt(v * _SCALE, L)
 
-    def px(i: int) -> str:
-        return length(xs[i] - min_x)
-
-    def py(i: int) -> str:
-        return length(max_y - ys[i])  # flip: positive y is up
+    # each centre is formatted once, for its line ends, circles and
+    # label; index 0 is unused
+    px = [""] + [length(xs[i] - min_x) for i in ids]
+    py = [""] + [length(max_y - ys[i]) for i in ids]  # flip: +y is up
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -82,8 +81,8 @@ def render_svg(instance: Instance,
             if t == i:
                 continue
             lines.append(
-                f'<line x1="{px(i)}" y1="{py(i)}" '
-                f'x2="{px(t)}" y2="{py(t)}" '
+                f'<line x1="{px[i]}" y1="{py[i]}" '
+                f'x2="{px[t]}" y2="{py[t]}" '
                 f'stroke="#888888" stroke-width="1" '
                 f'stroke-dasharray="4 3"/>')
 
@@ -91,7 +90,7 @@ def render_svg(instance: Instance,
         selected = assignment is not None and assignment(d.id) == d.id
         stroke = "#000000" if assignment is None or selected else "#999999"
         lines.append(
-            f'<circle cx="{px(d.id)}" cy="{py(d.id)}" '
+            f'<circle cx="{px[d.id]}" cy="{py[d.id]}" '
             f'r="{length(rs[d.id])}" fill="none" '
             f'stroke="{stroke}" stroke-width="1.5"/>')
 
@@ -99,16 +98,16 @@ def render_svg(instance: Instance,
         if agg == rs[i]:
             continue  # nothing merged in; base circle already drawn
         lines.append(
-            f'<circle cx="{px(i)}" cy="{py(i)}" '
+            f'<circle cx="{px[i]}" cy="{py[i]}" '
             f'r="{length(agg)}" fill="none" '
             f'stroke="#cc0000" stroke-width="1" '
             f'stroke-dasharray="6 4"/>')
 
     for d in instance.disks:
         lines.append(
-            f'<text x="{px(d.id)}" y="{py(d.id)}" '
+            f'<text x="{px[d.id]}" y="{py[d.id]}" '
             f'font-size="10" text-anchor="middle" '
             f'dominant-baseline="middle">{d.id}</text>')
 
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    lines += ["</svg>", ""]  # the empty line ends the text with "\n"
+    return "\n".join(lines)

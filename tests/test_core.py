@@ -4,6 +4,7 @@ import importlib
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -32,6 +33,53 @@ def mk(*rows):
 rationals = st.fractions(max_denominator=1000)
 
 
+def reference_parse_rational(value):
+    """parse_rational as written over ``Fraction(str)``, which parses the
+    digits a second time after the regex check."""
+    if isinstance(value, bool):
+        raise FormatError(f"not a rational number: {value!r}")
+    if isinstance(value, int):
+        return F(value)
+    if isinstance(value, F):
+        return value
+    if isinstance(value, str):
+        if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value):
+            raise FormatError(f"not a rational number: {value!r}")
+        try:
+            return F(value)
+        except ZeroDivisionError:
+            raise FormatError(f"zero denominator: {value!r}") from None
+        except ValueError:
+            raise FormatError(
+                f"rational has too many digits ({len(value)} characters)"
+            ) from None
+    raise FormatError(f"not a rational number: {value!r}")
+
+
+def parse_outcome(parse, value):
+    """The parsed Fraction with its exact numerator and denominator, or
+    the FormatError message."""
+    try:
+        q = parse(value)
+    except FormatError as exc:
+        return "error", str(exc)
+    return type(q), q.numerator, q.denominator
+
+
+PARSE_CASES = [
+    "3", "+3", "-3", "007", "-007/010", "+12/18", "-0", "+0", "0/7",
+    "-0/7", "3/0", "0/0", "-3/00", "1" * 4300, "1" * 4301, "7" * 5000,
+    "-" + "7" * 5000, "1/" + "3" * 5000, "9" * 5000 + "/0",
+    "2/" + "0" * 5000, "4" * 5000 + "/" + "3" * 5000,
+    "\u0661\u0662", "\uff13", "1/\uff12", "\u00b2", "1 /2", "1/ 2",
+    "1 / 2", " 1", "1 ", "\t1", "1\u00a0", "1\n", "1/2\n", "\n",
+    "", "/", "1/", "/2", "--1", "+-1", "1/-2", "1/+2", "1//2", "1/2/3",
+    "1.5", "1e3", "1_000", "0x10", "inf", "nan",
+    True, False, 0, -5, 10 ** 5000, 1.5, 0.0, -2.0, float("nan"),
+    F(2, 4), F(-7, 3), None, [1], b"1",
+]
+
+
 class TestRationals:
     @given(rationals)
     def test_round_trip(self, q):
@@ -52,6 +100,17 @@ class TestRationals:
     def test_parse_rejects(self, bad):
         with pytest.raises(FormatError):
             parse_rational(bad)
+
+    def test_parse_matches_fraction_str(self):
+        for k, value in enumerate(PARSE_CASES):
+            assert parse_outcome(parse_rational, value) == \
+                parse_outcome(reference_parse_rational, value), f"case {k}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789+-/ \n", max_size=12))
+    def test_parse_matches_fraction_str_on_text(self, value):
+        assert parse_outcome(parse_rational, value) == \
+            parse_outcome(reference_parse_rational, value)
 
 
 class TestInstance:

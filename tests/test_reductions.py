@@ -26,7 +26,68 @@ from diskmerge.transforms import (PartitionInput, equalize_radii,
                                   reduce_partition)
 
 
+def reference_apply(pose, p):
+    """Pose.apply in Fraction arithmetic: M·p + offset."""
+    a, b, c, d = pose.matrix
+    return Point(a * p.x + b * p.y + pose.offset.x,
+                 c * p.x + d * p.y + pose.offset.y)
+
+
+SIGNED_PERMUTATIONS = [(1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1),
+                       (0, 1, -1, 0), (1, 0, 0, -1), (-1, 0, 0, 1),
+                       (0, 1, 1, 0), (0, -1, -1, 0)]
+OFFSETS = [(0, 0), (3, -2), (-17, 40), (F(1, 10), 0), (F(-7, 3), F(5, 4)),
+           (F(11, 120), F(-1, 7)), (F(10 ** 30 + 1, 10 ** 29), 2)]
+
+def _P(x, y):
+    return Point(F(x), F(y))
+
+
+# every gadget's local frame (selectors, markers, ports) in Fractions, with
+# the Input gadget's absorber, written out apart from the int frames of
+# diskmerge.gadgets so that a slip in those tables shows
+FRACTION_FRAMES = {
+    GadgetKind.INPUT: (
+        (("main", _P(F(-11, 20), 0), F(29, 50)),
+         ("absorber", _P(F(11, 20), 0), F(29, 50))),
+        (("int", _P(F(-3, 10), 0)), ("absint", _P(F(3, 10), 0))),
+        (("port", _P(0, 0)),)),
+    GadgetKind.COPY4: (
+        (("sa", _P(F(3, 10), 0), F(1, 3)), ("sb", _P(F(7, 10), 0), F(1, 3))),
+        (("block", _P(F(1, 2), 0)), ("tail", _P(F(1, 2), F(1, 4)))),
+        (("a", _P(0, 0)), ("b", _P(1, 0)))),
+    GadgetKind.COPY6: (
+        (("s_in", _P(F(-9, 10), F(1, 2)), F(11, 20)),
+         ("s_out", _P(F(1, 8), 0), F(21, 20))),
+        (("block", _P(F(-1, 2), F(1, 4))), ("tail", _P(F(-1, 2), F(5, 6)))),
+        (("in", _P(-1, 0)), ("out_e", _P(1, 0)), ("out_n", _P(0, 1)),
+         ("out_s", _P(0, -1)))),
+    GadgetKind.NOT: (
+        (("s_pass", _P(F(9, 20), F(1, 5)), F(31, 50)),
+         ("s_idle", _P(F(9, 20), F(-1, 2)), F(14, 25))),
+        (("block", _P(F(9, 20), 0)), ("tail", _P(F(9, 10), F(-1, 5)))),
+        (("a", _P(0, 0)), ("b", _P(1, 0)))),
+    GadgetKind.DISJUNCTION: (
+        (("s_w", _P(F(-11, 20), 0), F(14, 25)),
+         ("s_s", _P(0, F(-11, 20)), F(14, 25)),
+         ("s_e", _P(F(11, 20), 0), F(14, 25))),
+        (("core", _P(0, 0)),),
+        (("w", _P(-1, 0)), ("s", _P(0, -1)), ("e", _P(1, 0)))),
+}
+
+
 class TestPose:
+    def test_signed_permutations(self):
+        """The eight matrices are exactly those Pose accepts in -1..1."""
+        accepted = []
+        for m in product((-1, 0, 1), repeat=4):
+            try:
+                Pose(m)
+            except FormatError:
+                continue
+            accepted.append(m)
+        assert sorted(accepted) == sorted(SIGNED_PERMUTATIONS)
+
     def test_rejects_non_orthogonal_matrix(self):
         with pytest.raises(FormatError):
             Pose((1, 1, 0, 1))
@@ -36,6 +97,29 @@ class TestPose:
     def test_apply_rotation(self):
         pose = pose_at(10, 0, (0, -1, 1, 0))
         assert pose.apply(Point(F(1), F(0))) == Point(F(10), F(1))
+
+    @pytest.mark.parametrize("kind", list(GadgetKind))
+    def test_matches_fraction_formula(self, kind):
+        """Every signed permutation at integer and rational offsets: each
+        posed frame point and each built gadget equal the Fraction
+        formula applied to the gadget's frame as it was first written."""
+        sdisks, mdisks, ports = FRACTION_FRAMES[kind]
+        points = [p for _, p, _ in sdisks] + [p for _, p in mdisks + ports]
+        for matrix in SIGNED_PERMUTATIONS:
+            for ox, oy in OFFSETS:
+                pose = pose_at(ox, oy, matrix)
+                for p in points:
+                    assert pose.apply(p) == reference_apply(pose, p)
+                g = build_gadget(kind, pose,
+                                 with_absorber=kind is GadgetKind.INPUT)
+                assert g.sdisks == tuple(
+                    (n, reference_apply(pose, p), r) for n, p, r in sdisks)
+                assert g.mdisks == tuple(
+                    (n, reference_apply(pose, p)) for n, p in mdisks)
+                assert g.ports == tuple(
+                    (n, reference_apply(pose, p)) for n, p in ports)
+                for q in (c for _, c, _ in g.sdisks):
+                    assert type(q.x) is F and type(q.y) is F
 
 
 class TestGadgets:
