@@ -32,9 +32,16 @@ far as a pair could fail, instead of testing all selected pairs.
 
 Inputs and outputs are exact :class:`fractions.Fraction` values.  Inside,
 :class:`Instance` scales every coordinate and radius by ``L``, the lcm of
-their denominators, so each verdict compares squared distances and
-aggregate radii as Python ints (in units of ``1/L``); no floating point is
-involved anywhere.
+their lowest-terms denominators, so each verdict compares squared
+distances and aggregate radii as Python ints (in units of ``1/L``); no
+floating point is involved anywhere.  Those scaled ints are an instance's
+one representation.  The parser and the reduction build instances from
+columns of numerators and denominators (``Instance._from_columns``),
+the serializer and the SVG renderer format the ints, and
+:attr:`Instance.disks` is a view built from them on first read, once; so
+a document goes through parse, verify, render and serialize without a
+Fraction per value.  The README's "Notes on performance" has the
+numbers.
 """
 
 from __future__ import annotations
@@ -44,7 +51,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import lcm
+from math import gcd, lcm
+from operator import attrgetter, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 # ASCII digits only, matched with fullmatch: ``\d`` would take any Unicode
@@ -57,8 +65,9 @@ class FormatError(ValueError):
     """Raised for malformed documents or values."""
 
 
-def parse_rational(value) -> Fraction:
-    """Parse an exact rational from an int or a ``"p/q"`` / integer string."""
+def _rational_terms(value) -> tuple[int, int]:
+    """The lowest terms ``(num, den)``, ``den > 0``, of an exact rational
+    given as an int, a Fraction or a ``"p/q"`` / integer string."""
     if isinstance(value, str):
         match = _RATIONAL_RE.fullmatch(value)
         if match is None:
@@ -72,21 +81,30 @@ def parse_rational(value) -> Fraction:
             ) from None
         if den == 0:
             raise FormatError(f"zero denominator: {value!r}")
-        return Fraction(num, den)
+        g = gcd(num, den)
+        return (num // g, den // g) if g > 1 else (num, den)
     if isinstance(value, bool):
         raise FormatError(f"not a rational number: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
     raise FormatError(f"not a rational number: {value!r}")
+
+
+def parse_rational(value) -> Fraction:
+    """Parse an exact rational from an int or a ``"p/q"`` / integer string."""
+    return Fraction(*_rational_terms(value))
+
+
+def _format_terms(num: int, den: int) -> str:
+    """``num / den`` (``den > 0``) as the canonical ``"p/q"`` (or
+    integer) string of its lowest terms."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def format_rational(value: Fraction) -> str:
     """Render a rational as the canonical ``"p/q"`` (or integer) string."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return _format_terms(value.numerator, value.denominator)
 
 
 def _common_scale(values: Iterable[Fraction]) -> int:
@@ -139,8 +157,14 @@ class Instance:
     """An immutable set of disks with ids ``1..n`` plus cached geometry.
 
     Coordinates and radii are kept scaled by ``L``, the lcm of all their
-    denominators, as ints indexed by disk id; squared distances
-    (``_d2``) and strict reach (``_reach``) are ints in those units.
+    lowest-terms denominators, as ints indexed by disk id; squared
+    distances (``_d2``) and strict reach (``_reach``) are ints in those
+    units.  These ints are the one representation: equality and hashing
+    compare them, :meth:`radius` and :meth:`center` build their one value
+    from them, and :attr:`disks` is a view of them.  Disks passed to the
+    constructor are kept as that view; an instance built from int columns
+    (:meth:`_from_columns`, used by the parser and the reduction) builds
+    it on first read, once.
 
     Neighbours come from one lazy walk per disk (:meth:`_walk`) in the
     exact ``(d2, id)`` order of :meth:`neighbor_sequence`.  It computes
@@ -151,34 +175,60 @@ class Instance:
     """
 
     def __init__(self, disks: Iterable[Disk]):
-        disks = tuple(sorted(disks, key=lambda d: d.id))
-        if any(d.id != i for i, d in enumerate(disks, start=1)):
-            raise FormatError(f"disk ids must be exactly 1..n, "
-                              f"got {[d.id for d in disks]}")
-        self.disks = disks
-        self.n = len(disks)
-        # one pass reads each value's numerator and denominator once and
-        # scales it by the lcm of the denominators read so far; each run
-        # of disks read before the last growth of that lcm is rescaled
-        L, grown = 1, [(1, 1)]  # (first disk id, L) at each growth
-        xs, ys, rs = [0], [0], [0]
+        """Each value is a Fraction (or an int), read as its exact
+        ``as_integer_ratio()``."""
+        disks = tuple(sorted(disks, key=attrgetter("id")))
+        cols = ids, xn, xd, yn, yd, rn, rd = [], [], [], [], [], [], []
         for d in disks:
-            x, y, r = d.center.x, d.center.y, d.radius
-            qx, qy, qr = x.denominator, y.denominator, r.denominator
-            if L % qx or L % qy or L % qr:
-                L = lcm(L, qx, qy, qr)
-                grown.append((d.id, L))
-            xs.append(x.numerator * (L // qx))
-            ys.append(y.numerator * (L // qy))
-            rs.append(r.numerator * (L // qr))
-        for (start, old), (stop, _) in zip(grown, grown[1:]):
-            for col in (xs, ys, rs):
-                col[start:stop] = [v * (L // old) for v in col[start:stop]]
-        self._scale = L
-        self._x, self._y, self._r = tuple(xs), tuple(ys), tuple(rs)
-        for i in range(1, self.n + 1):  # L > 0 keeps each sign
-            if self._r[i] <= 0:
-                raise FormatError(f"disk {i} has non-positive radius")
+            ids.append(d.id)
+            num, den = d.center.x.as_integer_ratio()
+            xn.append(num)
+            xd.append(den)
+            num, den = d.center.y.as_integer_ratio()
+            yn.append(num)
+            yd.append(den)
+            num, den = d.radius.as_integer_ratio()
+            rn.append(num)
+            rd.append(den)
+        self._setup(*cols)
+        self._disks: Optional[tuple[Disk, ...]] = disks
+
+    @classmethod
+    def _from_columns(cls, ids: list[int], xn: list[int], xd: list[int],
+                      yn: list[int], yd: list[int], rn: list[int],
+                      rd: list[int]) -> Instance:
+        """The instance whose ``k``-th disk has id ``ids[k]``, centre
+        ``(xn[k] / xd[k], yn[k] / yd[k])`` and radius ``rn[k] / rd[k]``,
+        each value in lowest terms with a positive denominator; the ids
+        may come in any order.  No Fraction is made, and no object per
+        disk: the columns hold ints only."""
+        self = cls.__new__(cls)
+        self._setup(ids, xn, xd, yn, yd, rn, rd)
+        self._disks = None
+        return self
+
+    def _setup(self, ids: list[int], *terms: list[int]) -> None:
+        n = self.n = len(ids)
+        want = list(range(1, n + 1))
+        if ids != want:
+            order = sorted(range(n), key=ids.__getitem__)
+            got = [ids[k] for k in order]
+            if got != want:
+                raise FormatError(
+                    f"disk ids must be exactly 1..n, got {got}")
+            terms = tuple([col[k] for k in order] for col in terms)
+        # each column is scaled in id order, so a walk reads its ints in
+        # the order they were made
+        xn, xd, yn, yd, rn, rd = terms
+        dens = {*xd, *yd, *rd}
+        L = self._scale = lcm(*dens)
+        factor = {q: L // q for q in dens}.__getitem__
+        self._x = (0, *map(mul, xn, map(factor, xd)))
+        self._y = (0, *map(mul, yn, map(factor, yd)))
+        self._r = (0, *map(mul, rn, map(factor, rd)))
+        if n and min(self._r[1:]) <= 0:  # L > 0 keeps each sign
+            i = next(i for i in want if self._r[i] <= 0)
+            raise FormatError(f"disk {i} has non-positive radius")
         # sweep axis, set up by the first walk: ids sorted by (axis
         # coordinate, id), their coordinates, and each id's position
         self._order: list[int] = []
@@ -188,11 +238,20 @@ class Instance:
         self._walks: dict[int, list] = {}
         self._reaches: dict[tuple[int, bool], tuple[int, ...]] = {}
 
+    @property
+    def disks(self) -> tuple[Disk, ...]:
+        """The disks in id order."""
+        if self._disks is None:
+            self._disks = tuple(Disk(i, self.center(i), self.radius(i))
+                                for i in range(1, self.n + 1))
+        return self._disks
+
     def radius(self, i: int) -> Fraction:
-        return self.disks[i - 1].radius
+        return Fraction(self._r[i], self._scale)
 
     def center(self, i: int) -> Point:
-        return self.disks[i - 1].center
+        return Point(Fraction(self._x[i], self._scale),
+                     Fraction(self._y[i], self._scale))
 
     def _d2(self, i: int, j: int) -> int:
         """Squared centre distance in units of ``1/L**2``."""
@@ -320,11 +379,16 @@ class Instance:
         """
         return tuple(Fraction(t, self._scale) for t in self._reach(i))
 
+    def _key(self) -> tuple:
+        # L is the lcm of lowest-terms denominators, so equal disks give
+        # equal ints
+        return self._scale, self._x, self._y, self._r
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, Instance) and self.disks == other.disks
+        return isinstance(other, Instance) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self.disks)
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"Instance(n={self.n})"

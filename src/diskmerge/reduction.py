@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import (Assignment, Disk, DisjointnessMode, FormatError, Instance,
+from .core import (Assignment, DisjointnessMode, FormatError, Instance,
                    verify_proper)
 from .formula import MonotoneFormula, RectilinearRep, grid_embed
 from .gadgets import Gadget, GadgetKind, Pose, build_gadget, pose_at
@@ -60,27 +60,41 @@ def assemble(gadgets: Sequence[Gadget]) -> Assembly:
     disk within its base radius and then its first disk beyond it, and
     each marker reads only the disks nearer than the closest pair of
     markers found so far.  The returned instance has the same disks with
-    the markers at radius epsilon.
+    the markers at radius epsilon.  Both are scaled from the same int
+    columns, and no Disk is built.
     """
-    disks: list[Disk] = []
+    # the numerators and denominators of every disk's x, y and r, in id
+    # order: ints only, so no object per disk stays alive
+    cols = xn, xd, yn, yd, rn, rd = [], [], [], [], [], []
     sdisk_ids: dict[tuple[int, str], int] = {}
     mdisk_ids: dict[tuple[int, str], int] = {}
-    # marker centres keyed by their numerators and denominators, which
-    # hash as ints; equal Fractions have equal lowest terms
-    point_id: dict[tuple[int, int, int, int], int] = {}
+    # marker centres keyed by their lowest-terms pairs, which hash as ints;
+    # equal Fractions have equal lowest terms
+    point_id: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
     own_markers: list[set[int]] = []
+
+    def add(x: tuple[int, int], y: tuple[int, int],
+            r: tuple[int, int]) -> int:
+        """Append one disk; returns its id."""
+        xn.append(x[0])
+        xd.append(x[1])
+        yn.append(y[0])
+        yd.append(y[1])
+        rn.append(r[0])
+        rd.append(r[1])
+        return len(xn)
+
     for gi, g in enumerate(gadgets):
         for name, p, r in g.sdisks:
-            disks.append(Disk(len(disks) + 1, p, r))
-            sdisk_ids[(gi, name)] = len(disks)
+            sdisk_ids[(gi, name)] = add(p.x.as_integer_ratio(),
+                                        p.y.as_integer_ratio(),
+                                        r.as_integer_ratio())
         own = set()
         for name, p in g.mdisks + g.ports:
-            key = (p.x.numerator, p.x.denominator,
-                   p.y.numerator, p.y.denominator)
+            key = (p.x.as_integer_ratio(), p.y.as_integer_ratio())
             pid = point_id.get(key)
             if pid is None:
-                disks.append(Disk(len(disks) + 1, p, F(1)))
-                pid = point_id[key] = len(disks)
+                pid = point_id[key] = add(*key, (1, 1))
             mdisk_ids[(gi, name)] = pid
             own.add(pid)
         own_markers.append(own)
@@ -93,7 +107,8 @@ def assemble(gadgets: Sequence[Gadget]) -> Assembly:
     if k == 0:
         raise ReductionError("no marker disks")
 
-    layout = Instance(disks)
+    ids = list(range(1, len(xn) + 1))
+    layout = Instance._from_columns(ids, *cols)
     L, rs = layout._scale, layout._r
 
     # clearance from each selector to everything it must never absorb:
@@ -135,9 +150,9 @@ def assemble(gadgets: Sequence[Gadget]) -> Assembly:
         eps = min(eps, min(F(m2, L * L), F(1)) / (2 * k))
 
     for m in markers:
-        disks[m - 1] = Disk(m, disks[m - 1].center, eps)
-    return Assembly(Instance(disks), tuple(gadgets), sdisk_ids,
-                    mdisk_ids, eps)
+        rn[m - 1], rd[m - 1] = eps.as_integer_ratio()
+    return Assembly(Instance._from_columns(ids, *cols), tuple(gadgets),
+                    sdisk_ids, mdisk_ids, eps)
 
 
 # outward direction of each port in a gadget's local frame, used to

@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
-from .core import (_INT_RE, Assignment, Disk, FormatError, Instance, Point,
-                   format_rational, parse_rational)
+from .core import (_INT_RE, Assignment, FormatError, Instance, _format_terms,
+                   _rational_terms)
 from .formula import Clause, MonotoneFormula, Polarity, RectilinearRep
 
 DOCUMENT_VERSION = 1
@@ -25,11 +25,14 @@ def _dump(obj: Any) -> str:
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     """A JSON object, rejecting a repeated key rather than keeping the last."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise FormatError(f"malformed document: duplicate key {key!r}")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) != len(pairs):  # name the first key seen twice
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise FormatError(
+                    f"malformed document: duplicate key {key!r}")
+            seen.add(key)
     return obj
 
 
@@ -54,26 +57,43 @@ def _require(doc: Any, kind: str) -> dict:
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse an instance document; metadata, if any, is discarded."""
+    """Parse an instance document; metadata, if any, is discarded.
+
+    Each value is read straight into its lowest terms, and each distinct
+    string only once; no Fraction is made."""
     doc = _require(_load(text), "instance")
     raw = doc.get("disks")
     if not isinstance(raw, list):
         raise FormatError("instance document needs a 'disks' list")
-    disks = []
+    known: dict[str, tuple[int, int]] = {}
+
+    def terms(value: Any) -> tuple[int, int]:
+        if type(value) is not str:  # ints, and values to reject
+            return _rational_terms(value)
+        pair = known.get(value)
+        if pair is None:
+            pair = known[value] = _rational_terms(value)
+        return pair
+
+    cols = ids, xn, xd, yn, yd, rn, rd = [], [], [], [], [], [], []
     for entry in raw:
         if not isinstance(entry, dict):
             raise FormatError("each disk must be an object")
         try:
             disk_id = entry["id"]
-            x = parse_rational(entry["x"])
-            y = parse_rational(entry["y"])
-            r = parse_rational(entry["r"])
+            x, y, r = terms(entry["x"]), terms(entry["y"]), terms(entry["r"])
         except KeyError as exc:
             raise FormatError(f"disk missing field {exc}") from exc
         if not isinstance(disk_id, int) or isinstance(disk_id, bool):
             raise FormatError(f"disk id must be an integer, got {disk_id!r}")
-        disks.append(Disk(disk_id, Point(x, y), r))
-    return Instance(disks)
+        ids.append(disk_id)
+        xn.append(x[0])
+        xd.append(x[1])
+        yn.append(y[0])
+        yd.append(y[1])
+        rn.append(r[0])
+        rd.append(r[1])
+    return Instance._from_columns(*cols)
 
 
 def instance_metadata(text: str) -> dict:
@@ -87,11 +107,17 @@ def instance_metadata(text: str) -> dict:
 
 def serialize_instance(instance: Instance,
                        metadata: Optional[dict] = None) -> str:
-    disks = [{"id": d.id,
-              "x": format_rational(d.center.x),
-              "y": format_rational(d.center.y),
-              "r": format_rational(d.radius)}
-             for d in instance.disks]
+    L, xs, ys, rs = instance._scale, instance._x, instance._y, instance._r
+    text: dict[int, str] = {}  # each distinct scaled value worded once
+
+    def word(v: int) -> str:
+        out = text.get(v)
+        if out is None:
+            out = text[v] = _format_terms(v, L)
+        return out
+
+    disks = [{"id": i, "x": word(xs[i]), "y": word(ys[i]), "r": word(rs[i])}
+             for i in range(1, instance.n + 1)]
     doc: dict[str, Any] = {"version": DOCUMENT_VERSION, "disks": disks}
     if metadata:
         doc["metadata"] = metadata

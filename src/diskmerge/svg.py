@@ -76,7 +76,7 @@ def render_svg(instance: Instance,
 
     # merge segments below circles so they do not obscure outlines
     if assignment is not None:
-        for i in range(1, instance.n + 1):
+        for i in ids:
             t = assignment(i)
             if t == i:
                 continue
@@ -86,12 +86,12 @@ def render_svg(instance: Instance,
                 f'stroke="#888888" stroke-width="1" '
                 f'stroke-dasharray="4 3"/>')
 
-    for d in instance.disks:
-        selected = assignment is not None and assignment(d.id) == d.id
+    for i in ids:
+        selected = assignment is not None and assignment(i) == i
         stroke = "#000000" if assignment is None or selected else "#999999"
         lines.append(
-            f'<circle cx="{px[d.id]}" cy="{py[d.id]}" '
-            f'r="{length(rs[d.id])}" fill="none" '
+            f'<circle cx="{px[i]}" cy="{py[i]}" '
+            f'r="{length(rs[i])}" fill="none" '
             f'stroke="{stroke}" stroke-width="1.5"/>')
 
     for i, agg in aggs.items():
@@ -103,11 +103,11 @@ def render_svg(instance: Instance,
             f'stroke="#cc0000" stroke-width="1" '
             f'stroke-dasharray="6 4"/>')
 
-    for d in instance.disks:
+    for i in ids:
         lines.append(
-            f'<text x="{px[d.id]}" y="{py[d.id]}" '
+            f'<text x="{px[i]}" y="{py[i]}" '
             f'font-size="10" text-anchor="middle" '
-            f'dominant-baseline="middle">{d.id}</text>')
+            f'dominant-baseline="middle">{i}</text>')
 
     lines += ["</svg>", ""]  # the empty line ends the text with "\n"
     return "\n".join(lines)
