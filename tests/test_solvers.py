@@ -247,6 +247,30 @@ def bench_lines():
     return cases
 
 
+def sloped_lines():
+    """Seeded lines of direction (2, 3) and benchmark size, in the style
+    of dp_corpus's sloped lines: dense lines n = 40..60 by 5 with one
+    step between centres and radii from 4 to 8 (a step is sqrt(13) < 4
+    long, so every disk reaches both neighbours), and lines n = 60..120
+    by 20 on which about half the centres are shared, spread over n or
+    2n steps."""
+    rng = random.Random(909)
+    cases = []
+    for n in range(40, 61, 5):
+        cases.append((f"sloped-dense{n}", mk(*[
+            (2 * s + F(1, 3), 3 * s - F(1, 2), F(rng.randint(8, 16), 2))
+            for s in range(n)])))
+    for n in range(60, 121, 20):
+        for width in (n // 2, n):
+            steps = rng.sample(range(-width, width + 1), n // 2)
+            steps += [rng.choice(steps) for _ in range(n - len(steps))]
+            rng.shuffle(steps)
+            cases.append((f"sloped-shared{n}", mk(*[
+                (2 * s + F(1, 3), 3 * s - F(1, 2), F(rng.randint(2, 16), 2))
+                for s in steps])))
+    return cases
+
+
 # sha256 of every bench_lines() solve in both modes, recorded before the
 # window table became plain tuples
 BENCH_LINES_DIGEST = \
@@ -256,6 +280,11 @@ BENCH_LINES_DIGEST = \
 # recorded while such a prefix still had a None window
 DP_CORPUS_DIGEST = \
     "a587f60c4147140d99935155d3f18d40583cc79dd68f965a793295cde4293ee6"
+
+# the same digest over sloped_lines(), recorded before the window build,
+# the reach walk and the sweep lost their per-pair calls
+SLOPED_LINES_DIGEST = \
+    "6612bb2c0a53b7bfa31d7c64165f4d9cef43a80e0b277e87e83aaf07481c3a1b"
 
 
 @st.composite
@@ -471,6 +500,21 @@ class TestSolveCollinear:
                     target, result.stats["transitions"],
                     result.stats["entries"])).encode())
         assert digest.hexdigest() == DP_CORPUS_DIGEST
+
+    def test_sloped_lines_pinned(self):
+        # as above, on sloped lines of benchmark size, dense or with
+        # shared centres
+        digest = hashlib.sha256()
+        for name, inst in sloped_lines():
+            for mode in (MAX, SUM):
+                result = solve_collinear(inst, mode)
+                target = result.assignment.target if result.feasible \
+                    else None
+                digest.update(repr((
+                    name, mode.value, result.status, result.cardinality,
+                    target, result.stats["transitions"],
+                    result.stats["entries"])).encode())
+        assert digest.hexdigest() == SLOPED_LINES_DIGEST
 
     @settings(max_examples=150, deadline=None)
     @given(shared_centre_lines())
