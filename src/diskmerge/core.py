@@ -298,32 +298,44 @@ class Instance:
             # the last field: every pair with d2 below it is released
             state = self._walks[i] = [[], [], p - 1, p + 1, 0]
         done, heap, lo, hi, released = state
-        if len(done) >= k and (bound <= released or len(done) == self.n - 1):
+        count = len(done)
+        if count >= k and (bound <= released or count == self.n - 1):
             return done
         order, coords, n = self._order, self._coords, self.n
         xs, ys = self._x, self._y
         x, y, a = xs[i], ys[i], coords[self._rank[i]]
+        emit = done.append
+        # the axis gaps to the nearest unvisited position on each side;
+        # past an end, one more than any gap, so the other side wins
+        end = coords[-1] - coords[0] + 1
+        gl = a - coords[lo] if lo >= 0 else end
+        gh = coords[hi] - a if hi < n else end
         while True:
-            # the nearest unvisited position q along the axis, at gap g
-            if lo >= 0 and (hi == n or a - coords[lo] <= coords[hi] - a):
-                q, g = lo, a - coords[lo]
-            elif hi < n:
-                q, g = hi, coords[hi] - a
-            else:  # all visited: the heap holds the rest in order
-                while heap and (len(done) < k or heap[0][0] < bound):
-                    done.append(heappop(heap))
-                g2 = heap[0][0] if heap else bound  # all below it are out
-                break
+            # the nearest unvisited position q along the axis, at gap g;
+            # a tie goes to the lower position
+            if gl <= gh:
+                if lo < 0:  # all visited: the heap holds the rest in order
+                    while heap and (count < k or heap[0][0] < bound):
+                        emit(heappop(heap))
+                        count += 1
+                    g2 = heap[0][0] if heap else bound  # all below are out
+                    break
+                q, g = lo, gl
+            else:
+                q, g = hi, gh
             g2 = g * g
             while heap and heap[0][0] < g2:
-                done.append(heappop(heap))
-            if len(done) >= k and g2 >= bound:
+                emit(heappop(heap))
+                count += 1
+            if count >= k and g2 >= bound:
                 break
             j = order[q]
             if q == lo:
                 lo -= 1
+                gl = a - coords[lo] if lo >= 0 else end
             else:
                 hi += 1
+                gh = coords[hi] - a if hi < n else end
             dx, dy = xs[j] - x, ys[j] - y
             heappush(heap, (dx * dx + dy * dy, j))
         state[2:] = lo, hi, g2
@@ -358,14 +370,21 @@ class Instance:
             total = r[i]
             walk = [total]
             slack = 0 if strict else 1  # relaxed: d2 <= total**2
-            pairs = self._walk(i, 0, total * total + slack)
+            limit = total * total + slack
+            pairs = self._walk(i, 0, limit)
+            size = len(pairs)
             k = 0
-            while k < len(pairs) and pairs[k][0] < total * total + slack:
-                total += r[pairs[k][1]]
+            while k < size:
+                d2, j = pairs[k]
+                if d2 >= limit:
+                    break
+                total += r[j]
                 walk.append(total)
+                limit = total * total + slack
                 k += 1
-                if k == len(pairs):  # next round: extends pairs
-                    self._walk(i, 0, total * total + slack)
+                if k == size:  # next round: extends pairs
+                    self._walk(i, 0, limit)
+                    size = len(pairs)
             aggs = self._reaches[i, strict] = tuple(walk)
         return aggs
 
@@ -560,9 +579,18 @@ def verify_uproper(instance: Instance, assignment: Assignment,
     (non-strictly) the aggregate radius accumulated from the previous
     members.  Centre-disjointness of selected pairs still applies.
     """
+    return _verify_uproper(instance, assignment, mode)[0]
+
+
+def _verify_uproper(instance: Instance, assignment: Assignment,
+                    mode: DisjointnessMode,
+                    ) -> tuple[VerificationReport,
+                               dict[int, tuple[tuple[int, ...], int]]]:
+    """:func:`verify_uproper`'s report and the merge groups it checked,
+    empty when the assignment is not an idempotent map of the disks."""
     violations: list[str] = []
     if not _check_shape(instance, assignment, violations):
-        return VerificationReport(False, 0, violations)
+        return VerificationReport(False, 0, violations), {}
 
     groups = _merge_groups(instance, assignment)
     for i, (members, _) in groups.items():
@@ -573,4 +601,4 @@ def verify_uproper(instance: Instance, assignment: Assignment,
             )
 
     _check_disjoint(instance, groups, mode, violations)
-    return VerificationReport(not violations, len(groups), violations)
+    return VerificationReport(not violations, len(groups), violations), groups

@@ -216,6 +216,19 @@ class ReductionArtifact(Assembly):
 
 def reduce_sat(formula: MonotoneFormula, rep: RectilinearRep
                ) -> ReductionArtifact:
+    """The disk instance of ``formula`` drawn as ``rep``, with its gadgets
+    and the roles that read variable values off them.
+
+    The reduction holds under the MAX disjointness rule only: the
+    instance has an assignment that :func:`~diskmerge.core.verify_proper`
+    accepts under ``DisjointnessMode.MAX`` exactly when the formula is
+    satisfiable, and :func:`build_assignment_from_sat` and
+    :func:`extract_sat_assignment` convert between the two under that
+    rule.  Under SUM, neighbouring selectors lie closer than the sum of
+    their base radii, and the strict verifier accepts no assignment of
+    any gadget's port harness: ``solve --mode sum`` finds none for a
+    satisfiable formula either.
+    """
     embedded = grid_embed(formula, rep)
     rows = embedded.clause_rows
     # segments are disjoint and hold their own variable's legs, so a

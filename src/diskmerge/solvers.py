@@ -301,17 +301,24 @@ def solve_collinear(
         # the positions A..B around y.
         reach = instance._reach(id_at[y])
         pairs = instance._walk(id_at[y], len(reach) - 1)
+        size = len(pairs)
         lo = hi = A = B = y
         inside = 0
         for j, R in enumerate(reach):
-            if j:
+            if j:  # the prefix of length 0 is the disk alone: no gap
                 q = pos_of[pairs[j - 1][1]]
-                lo, hi = min(lo, q), max(hi, q)
-            if hi - lo != j:
-                continue               # a gap: no assignment completes it
+                if q < lo:
+                    lo = q
+                elif q > hi:
+                    hi = q
+                if hi - lo != j:
+                    continue           # a gap: no assignment completes it
             r2 = R * R
-            while inside < len(pairs) and pairs[inside][0] < r2:
-                q = pos_of[pairs[inside][1]]
+            while inside < size:
+                d2, k = pairs[inside]
+                if d2 >= r2:
+                    break
+                q = pos_of[k]
                 if q < A:
                     A = q
                 elif q > B:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .core import (Assignment, DisjointnessMode, FormatError, Instance,
-                   _merge_groups, verify_uproper)
+                   _verify_uproper)
 
 _DECIMALS = 4
 _UNIT = 10 ** _DECIMALS
@@ -38,12 +38,11 @@ def render_svg(instance: Instance,
     id."""
     aggs: dict[int, int] = {}  # selected disk -> aggregate radius (1/L)
     if assignment is not None:
-        report = verify_uproper(instance, assignment, mode)
+        report, groups = _verify_uproper(instance, assignment, mode)
         if not report.ok:
             raise FormatError(
                 f"assignment fails verification: {report.violations[0]}")
-        aggs = {i: a for i, (_, a)
-                in _merge_groups(instance, assignment).items()}
+        aggs = {i: a for i, (_, a) in groups.items()}
 
     # lengths in units of 1/L, printed as length * _SCALE / L; the
     # margin is 1

@@ -7,9 +7,9 @@ from itertools import product
 
 import pytest
 
-from diskmerge.core import (Assignment, Disk, FormatError, Instance, Point,
-                            _common_scale, _scaled, verify_proper,
-                            verify_uproper)
+from diskmerge.core import (Assignment, Disk, DisjointnessMode, FormatError,
+                            Instance, Point, _common_scale, _scaled,
+                            verify_proper, verify_uproper)
 from diskmerge.fixtures import (FORMULA_FIXTURES,
                                 equalize_relaxed_rise_instance,
                                 single_negative_clause, three_clause_formula)
@@ -21,7 +21,8 @@ from diskmerge.reduction import (ReductionError, assemble,
                                  extract_sat_assignment, port_harness,
                                  reduce_sat)
 from diskmerge.serialization import serialize_instance
-from diskmerge.solvers import solve_exact_mcmd, solve_exact_rmcmd
+from diskmerge.solvers import (enumerate_proper_assignments,
+                               solve_exact_mcmd, solve_exact_rmcmd)
 from diskmerge.transforms import (PartitionInput, equalize_radii,
                                   reduce_partition)
 
@@ -368,6 +369,20 @@ class TestReduceSat:
         meta = art.metadata()
         assert meta["kind"] == "sat-reduction"
         assert len(meta["gadgets"]) == len(art.gadgets)
+
+    @pytest.mark.parametrize("kind", [GadgetKind.COPY4, GadgetKind.NOT])
+    def test_harness_accepts_under_max_only(self, kind):
+        # the reduction holds under MAX only: under SUM neighbouring
+        # selectors are closer than the sum of their radii
+        inst = port_harness(build_gadget(kind, Pose())).instance
+        assert [len(list(enumerate_proper_assignments(inst, mode)))
+                for mode in DisjointnessMode] == [2, 0]
+
+    def test_sum_rule_accepts_nothing_satisfiable(self):
+        f, rep = FORMULA_FIXTURES["unit_clause"]()
+        inst = reduce_sat(f, rep).instance
+        assert [len(list(enumerate_proper_assignments(inst, mode)))
+                for mode in DisjointnessMode] == [1, 0]
 
 
 # Epsilon and the sha256 of the instance document (metadata included, as
