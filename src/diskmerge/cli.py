@@ -4,6 +4,10 @@ Exit status: 0 for successful computations (an INFEASIBLE solve is a
 successful computation and is reported in the output), 1 for usage or
 input errors, 2 when ``verify`` rejects an assignment.  Results go to
 stdout as JSON; diagnostics go to stderr.
+
+``_COMMANDS`` maps each command to its help and to the function that adds
+its arguments; ``run`` builds only the parser of the command it runs,
+because building every command's parser took longer than a small command.
 """
 
 from __future__ import annotations
@@ -56,10 +60,10 @@ def _mode(args) -> DisjointnessMode:
 
 
 def _cmd_solve(args) -> int:
-    instance = parse_instance(_read(args.instance))
-    mode = _mode(args)
     if args.collinear and args.relaxed:
         raise FormatError("--relaxed requires --exact")
+    instance = parse_instance(_read(args.instance))
+    mode = _mode(args)
     try:
         if args.collinear:
             result = solve_collinear(instance, mode)
@@ -176,19 +180,16 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="diskmerge",
-                     description="centre-disjoint disk merging toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_mode(p):
+    p.add_argument("--mode", choices=["max", "sum"], default="max",
+                   help="centre-disjointness rule (default max)")
 
-    def add_mode(p):
-        p.add_argument("--mode", choices=["max", "sum"], default="max",
-                       help="centre-disjointness rule (default max)")
 
-    def add_output(p):
-        p.add_argument("-o", "--output", default=None, metavar="OUT")
+def _add_output(p):
+    p.add_argument("-o", "--output", default=None, metavar="OUT")
 
-    p = sub.add_parser("solve", help="find a maximum assignment")
+
+def _add_solve(p):
     alg = p.add_mutually_exclusive_group(required=True)
     alg.add_argument("--collinear", action="store_true",
                      help="polynomial dynamic program (collinear centres)")
@@ -198,24 +199,26 @@ def _build_parser() -> _Parser:
                    help="relaxed merge rules (with --exact)")
     p.add_argument("--max-n", type=int, default=MAX_N,
                    help="refuse exhaustive search above this size")
-    add_mode(p)
+    _add_mode(p)
     p.add_argument("instance")
-    add_output(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("verify", help="check an assignment")
+
+def _add_verify(p):
     p.add_argument("--relaxed", action="store_true")
-    add_mode(p)
+    _add_mode(p)
     p.add_argument("instance")
     p.add_argument("assignment")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("reduce", help="hardness-reduction generators")
+
+def _add_reduce(p):
     rsub = p.add_subparsers(dest="reduction", required=True)
     rp = rsub.add_parser("sat", help="planar monotone 3-SAT to disks")
     rp.add_argument("formula")
     rp.add_argument("rep")
-    add_output(rp)
+    _add_output(rp)
     rp.set_defaults(func=_cmd_reduce_sat)
     rp = rsub.add_parser("partition", help="number partition to disks")
     rp.add_argument("--values", required=True,
@@ -223,35 +226,61 @@ def _build_parser() -> _Parser:
     rp.add_argument("--e", default="1/2",
                     help="gap parameter, 0 < e < 1; odd value totals "
                          "need e < 1/2")
-    add_output(rp)
+    _add_output(rp)
     rp.set_defaults(func=_cmd_reduce_partition)
 
-    p = sub.add_parser("equalize", help="rewrite to equal radii")
+
+def _add_equalize(p):
     p.add_argument("--r", required=True, help="common radius")
     p.add_argument("instance")
-    add_output(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_equalize)
 
-    p = sub.add_parser("render", help="draw an instance as SVG")
-    add_mode(p)
+
+def _add_render(p):
+    _add_mode(p)
     p.add_argument("instance")
     p.add_argument("assignment", nargs="?", default=None)
     p.add_argument("-o", "--output", required=True, metavar="OUT")
     p.set_defaults(func=_cmd_render)
 
-    p = sub.add_parser("gen", help="generate a random instance")
+
+def _add_gen(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--profile", choices=["collinear", "planar"],
                    default="collinear")
     p.add_argument("--seed", type=int, default=0)
-    add_output(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_gen)
 
+
+# command name -> (help, function that adds its arguments), in help order
+_COMMANDS = {
+    "solve": ("find a maximum assignment", _add_solve),
+    "verify": ("check an assignment", _add_verify),
+    "reduce": ("hardness-reduction generators", _add_reduce),
+    "equalize": ("rewrite to equal radii", _add_equalize),
+    "render": ("draw an instance as SVG", _add_render),
+    "gen": ("generate a random instance", _add_gen),
+}
+
+
+def _build_parser(argv) -> _Parser:
+    """The parser for ``argv``: with only the command that ``argv[0]``
+    names, or with every command when it names none, so that help and
+    usage errors read as they would with all of them."""
+    parser = _Parser(prog="diskmerge",
+                     description="centre-disjoint disk merging toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+    names = [argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def run(argv) -> int:
-    parser = _build_parser()
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, artifact validity."""
 
+import argparse
 import json
 import os
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import diskmerge
+from diskmerge import cli
 from diskmerge.cli import generate_random, run
 from diskmerge.core import Assignment, FormatError, Instance
 from diskmerge.fixtures import relaxed_only_instance, single_positive_clause
@@ -41,8 +43,9 @@ def _positive(num_variables, *literals):
 
 
 # input errors and their messages; a list is a CLI argv, in which
-# "INSTANCE" stands for an empty instance file, and must exit 1 with the
-# message as its one stderr line
+# "INSTANCE" stands for an empty instance file and "MISSING" for a path
+# that does not exist, and must exit 1 with the message as its one stderr
+# line
 INPUT_ERRORS = [
     pytest.param(lambda: MonotoneFormula(-1, ()),
                  "negative variable count", id="negative-variables"),
@@ -105,6 +108,9 @@ INPUT_ERRORS = [
                  "unknown profile 'cube'", id="unknown-profile"),
     pytest.param(["solve", "--collinear", "--relaxed", "INSTANCE"],
                  "--relaxed requires --exact", id="cli-collinear-relaxed"),
+    pytest.param(["solve", "--collinear", "--relaxed", "MISSING"],
+                 "--relaxed requires --exact",
+                 id="cli-collinear-relaxed-missing-file"),
     pytest.param(["gen", "--n", "-1"], "n must be non-negative",
                  id="cli-negative-n"),
 ]
@@ -113,8 +119,10 @@ INPUT_ERRORS = [
 @pytest.mark.parametrize("source, message", INPUT_ERRORS)
 def test_input_error_message(paths, capsys, source, message):
     if isinstance(source, list):
-        inst = write(paths / "in.json", serialize_instance(Instance(())))
-        assert run([inst if a == "INSTANCE" else a for a in source]) == 1
+        files = {"INSTANCE": write(paths / "in.json",
+                                   serialize_instance(Instance(()))),
+                 "MISSING": str(paths / "missing.json")}
+        assert run([files.get(a, a) for a in source]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
     else:
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
@@ -322,3 +330,182 @@ class TestOtherCommands:
         missing = str(paths / "missing.json")
         failed = main("verify", missing, missing)
         assert failed.returncode == 1 and failed.stderr.startswith("error: ")
+
+
+def reference_parser():
+    """The parser as ``cli`` built it when every call registered every
+    command; command functions are read from ``cli`` when it is called."""
+    parser = cli._Parser(prog="diskmerge",
+                         description="centre-disjoint disk merging toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_mode(p):
+        p.add_argument("--mode", choices=["max", "sum"], default="max",
+                       help="centre-disjointness rule (default max)")
+
+    def add_output(p):
+        p.add_argument("-o", "--output", default=None, metavar="OUT")
+
+    p = sub.add_parser("solve", help="find a maximum assignment")
+    alg = p.add_mutually_exclusive_group(required=True)
+    alg.add_argument("--collinear", action="store_true",
+                     help="polynomial dynamic program (collinear centres)")
+    alg.add_argument("--exact", action="store_true",
+                     help="exhaustive search (small instances)")
+    p.add_argument("--relaxed", action="store_true",
+                   help="relaxed merge rules (with --exact)")
+    p.add_argument("--max-n", type=int, default=cli.MAX_N,
+                   help="refuse exhaustive search above this size")
+    add_mode(p)
+    p.add_argument("instance")
+    add_output(p)
+    p.set_defaults(func=cli._cmd_solve)
+
+    p = sub.add_parser("verify", help="check an assignment")
+    p.add_argument("--relaxed", action="store_true")
+    add_mode(p)
+    p.add_argument("instance")
+    p.add_argument("assignment")
+    p.set_defaults(func=cli._cmd_verify)
+
+    p = sub.add_parser("reduce", help="hardness-reduction generators")
+    rsub = p.add_subparsers(dest="reduction", required=True)
+    rp = rsub.add_parser("sat", help="planar monotone 3-SAT to disks")
+    rp.add_argument("formula")
+    rp.add_argument("rep")
+    add_output(rp)
+    rp.set_defaults(func=cli._cmd_reduce_sat)
+    rp = rsub.add_parser("partition", help="number partition to disks")
+    rp.add_argument("--values", required=True,
+                    help="comma-separated positive integers")
+    rp.add_argument("--e", default="1/2",
+                    help="gap parameter, 0 < e < 1; odd value totals "
+                         "need e < 1/2")
+    add_output(rp)
+    rp.set_defaults(func=cli._cmd_reduce_partition)
+
+    p = sub.add_parser("equalize", help="rewrite to equal radii")
+    p.add_argument("--r", required=True, help="common radius")
+    p.add_argument("instance")
+    add_output(p)
+    p.set_defaults(func=cli._cmd_equalize)
+
+    p = sub.add_parser("render", help="draw an instance as SVG")
+    add_mode(p)
+    p.add_argument("instance")
+    p.add_argument("assignment", nargs="?", default=None)
+    p.add_argument("-o", "--output", required=True, metavar="OUT")
+    p.set_defaults(func=cli._cmd_render)
+
+    p = sub.add_parser("gen", help="generate a random instance")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--profile", choices=["collinear", "planar"],
+                   default="collinear")
+    p.add_argument("--seed", type=int, default=0)
+    add_output(p)
+    p.set_defaults(func=cli._cmd_gen)
+
+    return parser
+
+
+def reference_run(argv):
+    """``cli.run`` on ``reference_parser``."""
+    try:
+        args = reference_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    return args.func(args)
+
+
+HELP_PATHS = [[], ["solve"], ["verify"], ["reduce"], ["reduce", "sat"],
+              ["reduce", "partition"], ["equalize"], ["render"], ["gen"]]
+
+# command lines whose parse must match reference_parser's: every help
+# path, usage errors, and accepted lines whose Namespace is compared
+PARSER_CASES = [[*path, "--help"] for path in HELP_PATHS] + [
+    ["-h"], ["reduce", "partition", "-h"], ["--help", "solve"],
+    ["solve", "--collinear", "in.json", "--help"],
+    [], ["bogus"], ["Solve"], ["sol"], ["-x"], ["-x", "solve"],
+    ["--", "solve"], ["solve", "--", "--exact"],
+    ["solve", "in.json"],  # neither --collinear nor --exact
+    ["solve", "--collinear", "--exact", "in.json"],
+    ["solve", "--exact"],
+    ["solve", "--exact", "--max-n", "x", "in.json"],
+    ["solve", "--exact", "in.json", "extra"],
+    ["verify", "in.json"],
+    ["reduce"], ["reduce", "bogus"], ["reduce", "sat", "f.json"],
+    ["reduce", "partition"],  # no --values
+    ["reduce", "partition", "--values"],
+    ["equalize", "in.json"], ["equalize", "--r", "-x", "in.json"],
+    ["render", "in.json"],  # no -o
+    ["render", "--mode", "min", "in.json", "-o", "o.svg"],
+    ["gen"], ["gen", "--n", "x"], ["gen", "--n", "3", "--profile", "cube"],
+    ["solve", "--col", "in.json"],  # abbreviations are accepted
+    ["solve", "--exact", "--max", "3", "--mo", "sum", "in.json"],
+    ["solve", "--exact", "--relaxed", "--mode", "sum", "in.json",
+     "-o", "out.json"],
+    ["verify", "--relaxed", "in.json", "phi.json"],
+    ["reduce", "sat", "f.json", "r.json"],
+    ["reduce", "partition", "--values", "1,2", "--e", "1/3", "-o", "p.json"],
+    ["equalize", "--r", "1/2", "in.json"],
+    ["render", "in.json", "phi.json", "--output", "o.svg"],
+    ["gen", "--n", "3", "--profile", "planar", "--seed", "4"],
+]
+
+
+class TestParser:
+    @pytest.fixture
+    def commands(self, monkeypatch):
+        """Replaces every command function with one that records its
+        name and Namespace and exits 0; returns the record."""
+        seen = []
+        for name in ("_cmd_solve", "_cmd_verify", "_cmd_reduce_sat",
+                     "_cmd_reduce_partition", "_cmd_equalize",
+                     "_cmd_render", "_cmd_gen"):
+            def record(args, name=name):
+                seen.append((name, vars(args)))
+                return 0
+            monkeypatch.setattr(cli, name, record)
+        return seen
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(argv, id=" ".join(argv) or "no-arguments")
+        for argv in PARSER_CASES])
+    def test_matches_reference_parser(self, monkeypatch, capsys, commands,
+                                      argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        outcomes = []
+        for parse in (reference_run, run):
+            code = parse(list(argv))
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out, captured.err, commands[:]))
+            commands.clear()
+        assert outcomes[0] == outcomes[1]
+        code, out, err, called = outcomes[0]
+        assert out or err or called
+
+    # a command builds the top parser and its own; reduce keeps both of
+    # its nested ones; help and errors that name no command build all 9
+    @pytest.mark.parametrize("argv, code, built", [
+        pytest.param(["gen", "--n", "2"], 0, 2, id="gen"),
+        pytest.param(["solve", "--collinear", "INSTANCE"], 0, 2, id="solve"),
+        pytest.param(["reduce", "partition", "--values", "1,1"], 0, 4,
+                     id="reduce-partition"),
+        pytest.param(["--help"], 0, 9, id="help"),
+        pytest.param(["bogus"], 1, 9, id="unknown-command"),
+        pytest.param([], 1, 9, id="no-arguments"),
+    ])
+    def test_builds_only_the_command_it_runs(self, monkeypatch, paths,
+                                              capsys, argv, code, built):
+        inst = write(paths / "in.json", serialize_instance(Instance(())))
+        init = argparse.ArgumentParser.__init__
+        parsers = []
+
+        def counting_init(self, *args, **kwargs):
+            parsers.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        assert run([inst if a == "INSTANCE" else a for a in argv]) == code
+        assert len(parsers) == built
