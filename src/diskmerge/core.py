@@ -14,9 +14,11 @@ into a selected disk.  Two verifiers are provided:
   distance order, and centre-disjointness still applies.
 
 Each rule is written once: :meth:`Instance.reach` walks the strict reach
-rule, :func:`centre_disjoint` decides the MAX/SUM bound and
-``_relaxed_walk`` walks the relaxed rule.  The verifiers here and the
-solvers in :mod:`diskmerge.solvers` all call these.
+rule, ``Instance._reach(i, strict=False)`` walks the relaxed one (the
+bound the solvers' search prunes with), :func:`centre_disjoint` decides
+the MAX/SUM bound and ``_relaxed_walk`` checks the relaxed rule on a
+given member set.  The verifiers here and the solvers in
+:mod:`diskmerge.solvers` all call these.
 
 Neighbour order is lazy.  One resumable sweep per disk
 (``Instance._walk``) yields the other disks in the exact ``(distance,
@@ -105,16 +107,6 @@ def _format_terms(num: int, den: int) -> str:
 def format_rational(value: Fraction) -> str:
     """Render a rational as the canonical ``"p/q"`` (or integer) string."""
     return _format_terms(value.numerator, value.denominator)
-
-
-def _common_scale(values: Iterable[Fraction]) -> int:
-    """``L``, the lcm of the denominators of ``values``: each ``v * L`` is
-    the int ``_scaled(v, L)``."""
-    return lcm(*{v.denominator for v in values})
-
-
-def _scaled(value: Fraction, scale: int) -> int:
-    return value.numerator * (scale // value.denominator)
 
 
 @dataclass(frozen=True, order=True, slots=True)

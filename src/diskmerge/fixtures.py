@@ -1,4 +1,5 @@
-"""Built-in example instances and formulas used by tests and the CLI."""
+"""Built-in example instances and formulas used by the tests and the
+benchmark."""
 
 from __future__ import annotations
 

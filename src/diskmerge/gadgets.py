@@ -14,22 +14,25 @@ leaves it to the neighbour.  The achievable combinations are:
 * DISJUNCTION — absorbs any non-empty subset of its ports.
 
 Each gadget's local frame is stored once, as ints over one common
-denominator (``_DEN``, 120); radii are exact Fractions.  A pose maps a
-frame onto the global layout: a signed permutation matrix and an exact
-rational offset.  It does the arithmetic in ints and makes one Fraction
-per coordinate.  Ports stay on lattice points whenever the offset is an
-integer point, as every pose of :func:`~diskmerge.reduction.reduce_sat`
-is.
+denominator (``_DEN``, 120); radii are exact Fractions.  A gadget keeps
+its frame and its pose; a pose maps the frame onto the global layout: a
+signed permutation matrix and an exact rational offset.  It does the
+arithmetic in ints and gives each coordinate as a lowest-terms ``(num,
+den)`` pair, which :func:`~diskmerge.reduction.assemble` reads as it is;
+a gadget builds its placed points only when they are read.  Ports stay
+on lattice points whenever the offset is an integer point, as every pose
+of :func:`~diskmerge.reduction.reduce_sat` is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
-from .core import FormatError, Point, _common_scale, _scaled
+from .core import FormatError, Point
 
 F = Fraction
 
@@ -60,18 +63,23 @@ class Pose:
                               f"{self.matrix}")
 
     def apply(self, p: Point) -> Point:
-        den = _common_scale((p.x, p.y))
-        return self._place(_scaled(p.x, den), _scaled(p.y, den), den)
+        den = lcm(p.x.denominator, p.y.denominator)
+        return Point(*(F(*t) for t in self._terms(int(p.x * den),
+                                                  int(p.y * den), den)))
 
-    def _place(self, x: int, y: int, den: int) -> Point:
-        """:meth:`apply` to the point ``(x / den, y / den)``: the matrix
+    def _terms(self, x: int, y: int, den: int
+               ) -> tuple[tuple[int, int], tuple[int, int]]:
+        """:meth:`apply` to the point ``(x / den, y / den)``, as the
+        lowest-terms ``(num, den)`` pair of each coordinate: the matrix
         acts on the ints, and the offset joins over the common
-        denominator, so each coordinate is one ``Fraction(int, int)``."""
+        denominator."""
         a, b, c, d = self.matrix
         ox, oy = self.offset.x, self.offset.y
         qx, qy = ox.denominator, oy.denominator
-        return Point(F((a * x + b * y) * qx + ox.numerator * den, den * qx),
-                     F((c * x + d * y) * qy + oy.numerator * den, den * qy))
+        nx, dx = (a * x + b * y) * qx + ox.numerator * den, den * qx
+        ny, dy = (c * x + d * y) * qy + oy.numerator * den, den * qy
+        gx, gy = gcd(nx, dx), gcd(ny, dy)
+        return (nx // gx, dx // gx), (ny // gy, dy // gy)
 
 
 def pose_at(x, y, matrix=(1, 0, 0, 1)) -> Pose:
@@ -80,7 +88,8 @@ def pose_at(x, y, matrix=(1, 0, 0, 1)) -> Pose:
 
 # local frames, every coordinate an int in units of 1/_DEN; radii are
 # not moved by a pose and stay Fractions.  Ports are the lattice-anchored
-# shared mdisks.
+# shared mdisks, each with its outward direction (a unit vector of the
+# frame), which a port harness faces an input gadget along.
 _DEN = 120
 
 _SDISKS = {
@@ -105,13 +114,16 @@ _MDISKS = {
 }
 
 _PORTS = {
-    GadgetKind.INPUT: (("port", (0, 0)),),
-    GadgetKind.COPY4: (("a", (0, 0)), ("b", (120, 0))),
-    GadgetKind.COPY6: (("in", (-120, 0)), ("out_e", (120, 0)),
-                       ("out_n", (0, 120)), ("out_s", (0, -120))),
-    GadgetKind.NOT: (("a", (0, 0)), ("b", (120, 0))),
-    GadgetKind.DISJUNCTION: (("w", (-120, 0)), ("s", (0, -120)),
-                             ("e", (120, 0))),
+    GadgetKind.INPUT: (("port", (0, 0), (1, 0)),),
+    GadgetKind.COPY4: (("a", (0, 0), (-1, 0)), ("b", (120, 0), (1, 0))),
+    GadgetKind.COPY6: (("in", (-120, 0), (-1, 0)),
+                       ("out_e", (120, 0), (1, 0)),
+                       ("out_n", (0, 120), (0, 1)),
+                       ("out_s", (0, -120), (0, -1))),
+    GadgetKind.NOT: (("a", (0, 0), (-1, 0)), ("b", (120, 0), (1, 0))),
+    GadgetKind.DISJUNCTION: (("w", (-120, 0), (-1, 0)),
+                             ("s", (0, -120), (0, -1)),
+                             ("e", (120, 0), (1, 0))),
 }
 
 # ports that may be omitted (unused arms of crossings and small clauses)
@@ -128,12 +140,31 @@ _INPUT_ABSORBER_MDISK = ("absint", (36, 0))
 
 @dataclass(frozen=True)
 class Gadget:
+    """A gadget kind placed by a pose.  ``frame`` is what the gadget kept
+    of its kind's local tables: ``(selectors, markers, ports)``, each
+    point an int pair over ``_DEN``, and each port with its outward
+    direction.  :attr:`sdisks`, :attr:`mdisks` and :attr:`ports` place
+    them when read."""
+
     kind: GadgetKind
     pose: Pose
-    sdisks: tuple[tuple[str, Point, Fraction], ...]
-    mdisks: tuple[tuple[str, Point], ...]
-    ports: tuple[tuple[str, Point], ...]
+    frame: tuple[tuple, tuple, tuple]
     role: str = ""
+
+    def _point(self, p: tuple[int, int]) -> Point:
+        return Point(*(F(*t) for t in self.pose._terms(*p, _DEN)))
+
+    @property
+    def sdisks(self) -> tuple[tuple[str, Point, Fraction], ...]:
+        return tuple((n, self._point(p), r) for n, p, r in self.frame[0])
+
+    @property
+    def mdisks(self) -> tuple[tuple[str, Point], ...]:
+        return tuple((n, self._point(p)) for n, p in self.frame[1])
+
+    @property
+    def ports(self) -> tuple[tuple[str, Point], ...]:
+        return tuple((n, self._point(p)) for n, p, _ in self.frame[2])
 
 
 def build_gadget(kind: GadgetKind, pose: Pose,
@@ -145,28 +176,18 @@ def build_gadget(kind: GadgetKind, pose: Pose,
     if not drop <= allowed:
         raise FormatError(f"cannot drop ports {sorted(drop - allowed)} "
                           f"of {kind.value}")
-    port_names = [n for n, _ in _PORTS[kind] if n not in drop]
-    if kind is GadgetKind.DISJUNCTION and not port_names:
+    ports = tuple(p for p in _PORTS[kind] if p[0] not in drop)
+    if kind is GadgetKind.DISJUNCTION and not ports:
         raise FormatError("disjunction needs at least one port")
 
-    sdisks = list(_SDISKS[kind])
-    mdisks = list(_MDISKS[kind])
+    sdisks = _SDISKS[kind]
+    mdisks = _MDISKS[kind]
     if kind is GadgetKind.DISJUNCTION:
         # one selector per remaining arm
-        sdisks = [s for s in sdisks if s[0][2:] in port_names]
+        sdisks = tuple(s for s in sdisks if s[0][2:] not in drop)
     if with_absorber:
         if kind is not GadgetKind.INPUT:
             raise FormatError("only the input gadget takes an absorber")
-        sdisks.append(_INPUT_ABSORBER_SDISK)
-        mdisks.append(_INPUT_ABSORBER_MDISK)
-
-    place = pose._place
-    return Gadget(
-        kind=kind,
-        pose=pose,
-        sdisks=tuple((n, place(*p, _DEN), r) for n, p, r in sdisks),
-        mdisks=tuple((n, place(*p, _DEN)) for n, p in mdisks),
-        ports=tuple((n, place(*p, _DEN)) for n, p in _PORTS[kind]
-                    if n not in drop),
-        role=role,
-    )
+        sdisks += (_INPUT_ABSORBER_SDISK,)
+        mdisks += (_INPUT_ABSORBER_MDISK,)
+    return Gadget(kind, pose, (sdisks, mdisks, ports), role)

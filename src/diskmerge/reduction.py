@@ -21,9 +21,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (Assignment, DisjointnessMode, FormatError, Instance,
-                   verify_proper)
+                   format_rational, verify_proper)
 from .formula import MonotoneFormula, RectilinearRep, grid_embed
-from .gadgets import Gadget, GadgetKind, Pose, build_gadget, pose_at
+from .gadgets import _DEN, Gadget, GadgetKind, Pose, build_gadget, pose_at
 
 F = Fraction
 
@@ -69,7 +69,7 @@ def assemble(gadgets: Sequence[Gadget]) -> Assembly:
     sdisk_ids: dict[tuple[int, str], int] = {}
     mdisk_ids: dict[tuple[int, str], int] = {}
     # marker centres keyed by their lowest-terms pairs, which hash as ints;
-    # equal Fractions have equal lowest terms
+    # equal rationals have equal lowest terms
     point_id: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
     own_markers: list[set[int]] = []
 
@@ -85,13 +85,14 @@ def assemble(gadgets: Sequence[Gadget]) -> Assembly:
         return len(xn)
 
     for gi, g in enumerate(gadgets):
-        for name, p, r in g.sdisks:
-            sdisk_ids[(gi, name)] = add(p.x.as_integer_ratio(),
-                                        p.y.as_integer_ratio(),
+        sdisks, mdisks, ports = g.frame
+        terms = g.pose._terms
+        for name, p, r in sdisks:
+            sdisk_ids[(gi, name)] = add(*terms(*p, _DEN),
                                         r.as_integer_ratio())
         own = set()
-        for name, p in g.mdisks + g.ports:
-            key = (p.x.as_integer_ratio(), p.y.as_integer_ratio())
+        for name, p, *_ in mdisks + ports:
+            key = terms(*p, _DEN)
             pid = point_id.get(key)
             if pid is None:
                 pid = point_id[key] = add(*key, (1, 1))
@@ -155,18 +156,6 @@ def assemble(gadgets: Sequence[Gadget]) -> Assembly:
                     sdisk_ids, mdisk_ids, eps)
 
 
-# outward direction of each port in a gadget's local frame, used to
-# attach free input gadgets when testing a gadget in isolation
-_PORT_DIRECTION = {
-    GadgetKind.INPUT: {"port": (1, 0)},
-    GadgetKind.COPY4: {"a": (-1, 0), "b": (1, 0)},
-    GadgetKind.NOT: {"a": (-1, 0), "b": (1, 0)},
-    GadgetKind.COPY6: {"in": (-1, 0), "out_e": (1, 0),
-                       "out_n": (0, 1), "out_s": (0, -1)},
-    GadgetKind.DISJUNCTION: {"w": (-1, 0), "s": (0, -1), "e": (1, 0)},
-}
-
-
 def port_harness(gadget: Gadget) -> Assembly:
     """The gadget plus one free input gadget facing each of its ports.
 
@@ -179,10 +168,10 @@ def port_harness(gadget: Gadget) -> Assembly:
     """
     a, b, c, d = gadget.pose.matrix
     gs = [gadget]
-    for name, p in gadget.ports:
-        dx, dy = _PORT_DIRECTION[gadget.kind][name]
+    for name, p, (dx, dy) in gadget.frame[2]:
         gx, gy = a * dx + b * dy, c * dx + d * dy
-        gs.append(build_gadget(GadgetKind.INPUT, Pose((-gx, gy, -gy, -gx), p),
+        gs.append(build_gadget(GadgetKind.INPUT,
+                               Pose((-gx, gy, -gy, -gx), gadget._point(p)),
                                role=f"harness {name}"))
     return assemble(gs)
 
@@ -207,7 +196,7 @@ class ReductionArtifact(Assembly):
     def metadata(self) -> dict:
         return {
             "kind": "sat-reduction",
-            "epsilon": f"{self.epsilon.numerator}/{self.epsilon.denominator}",
+            "epsilon": format_rational(self.epsilon),
             "gadgets": [{"kind": g.kind.value, "role": g.role}
                         for g in self.gadgets],
             "ports": {str(v): pid for v, pid in sorted(self.port_map.items())},
@@ -369,7 +358,7 @@ def build_assignment_from_sat(artifact: ReductionArtifact,
             if state:
                 merge(gi, "s_in", ["block", "in", "tail"])
             else:
-                outs = [nm for nm, _ in g.ports if nm != "in"]
+                outs = [nm for nm, *_ in g.frame[2] if nm != "in"]
                 merge(gi, "s_out", ["block"] + outs + ["tail"])
         elif g.kind is GadgetKind.COPY4:
             if not state:

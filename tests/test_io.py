@@ -345,6 +345,14 @@ class TestScaledInts:
             assemble(gadgets)
         assert len(fractions_made) == 2  # the centre in the message
 
+    def test_reduce_sat_makes_no_fraction_per_point(self, fractions_made):
+        """Only each gadget's pose offset (two per gadget) and epsilon's
+        arithmetic make Fractions; placed points stay ints."""
+        formula, rep = three_clause_formula()
+        fractions_made.clear()
+        art = reduce_sat(formula, rep)
+        assert len(fractions_made) <= 2 * len(art.gadgets) + 8
+
 
 def reference_unique_keys(pairs):
     """The key-by-key loop that _unique_keys replaces."""

@@ -4,12 +4,12 @@ import hashlib
 import random
 from fractions import Fraction as F
 from itertools import product
+from math import lcm
 
 import pytest
 
 from diskmerge.core import (Assignment, Disk, DisjointnessMode, FormatError,
-                            Instance, Point, _common_scale, _scaled,
-                            verify_proper, verify_uproper)
+                            Instance, Point, verify_proper, verify_uproper)
 from diskmerge.fixtures import (FORMULA_FIXTURES,
                                 equalize_relaxed_rise_instance,
                                 single_negative_clause, three_clause_formula)
@@ -171,6 +171,17 @@ class TestAssemble:
     def test_no_gadgets_rejected(self):
         with pytest.raises(ReductionError, match="no marker disks"):
             assemble([])
+
+
+def _common_scale(values):
+    """``L``, the lcm of the denominators of ``values``."""
+    return lcm(*{v.denominator for v in values})
+
+
+def _scaled(value, scale):
+    """``value * scale`` as an int, for ``scale`` a multiple of its
+    denominator."""
+    return value.numerator * (scale // value.denominator)
 
 
 def reference_assemble(gadgets):
