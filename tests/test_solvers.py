@@ -271,6 +271,22 @@ def sloped_lines():
     return cases
 
 
+def solve_digest(cases, transitions=True):
+    """sha256 over every solve of ``cases`` in both modes: name, mode,
+    status, cardinality, target, then ``transitions`` if asked and
+    ``entries``."""
+    digest = hashlib.sha256()
+    for name, inst in cases:
+        for mode in (MAX, SUM):
+            result = solve_collinear(inst, mode)
+            target = result.assignment.target if result.feasible else None
+            counters = (result.stats["transitions"],) if transitions else ()
+            digest.update(repr((
+                name, mode.value, result.status, result.cardinality, target,
+                *counters, result.stats["entries"])).encode())
+    return digest.hexdigest()
+
+
 # sha256 of every bench_lines() solve in both modes, recorded before the
 # window table became plain tuples
 BENCH_LINES_DIGEST = \
@@ -285,6 +301,17 @@ DP_CORPUS_DIGEST = \
 # the reach walk and the sweep lost their per-pair calls
 SLOPED_LINES_DIGEST = \
     "6612bb2c0a53b7bfa31d7c64165f4d9cef43a80e0b277e87e83aaf07481c3a1b"
+
+# the same digests without transitions, recorded while every feasible
+# window was scored and put in a bucket
+OUTPUT_DIGESTS = {
+    "bench_lines":
+        "41a8866543e84b26dca149adb7835f12fd0cbc7fca5464412507805a0eed7042",
+    "DP_CORPUS":
+        "740942a7ee39d0d64a0ef5f0556e7829beb2305da93ea1a93b4cfc9597c196df",
+    "sloped_lines":
+        "c50a0391d7a6238421b5c5283bb1b928466b7bee07fb3e1307f6e83c05fe1a92",
+}
 
 
 @st.composite
@@ -475,46 +502,23 @@ class TestSolveCollinear:
 
     def test_bench_lines_pinned(self):
         # optimum, tie-break and both counters, byte for byte
-        digest = hashlib.sha256()
-        for name, inst in bench_lines():
-            for mode in (MAX, SUM):
-                result = solve_collinear(inst, mode)
-                target = result.assignment.target if result.feasible \
-                    else None
-                digest.update(repr((
-                    name, mode.value, result.status, result.cardinality,
-                    target, result.stats["transitions"],
-                    result.stats["entries"])).encode())
-        assert digest.hexdigest() == BENCH_LINES_DIGEST
+        assert solve_digest(bench_lines()) == BENCH_LINES_DIGEST
 
     def test_dp_corpus_pinned(self):
         # as above, on the lines where gapped prefixes get no window
-        digest = hashlib.sha256()
-        for name, inst in DP_CORPUS:
-            for mode in (MAX, SUM):
-                result = solve_collinear(inst, mode)
-                target = result.assignment.target if result.feasible \
-                    else None
-                digest.update(repr((
-                    name, mode.value, result.status, result.cardinality,
-                    target, result.stats["transitions"],
-                    result.stats["entries"])).encode())
-        assert digest.hexdigest() == DP_CORPUS_DIGEST
+        assert solve_digest(DP_CORPUS) == DP_CORPUS_DIGEST
 
     def test_sloped_lines_pinned(self):
         # as above, on sloped lines of benchmark size, dense or with
         # shared centres
-        digest = hashlib.sha256()
-        for name, inst in sloped_lines():
-            for mode in (MAX, SUM):
-                result = solve_collinear(inst, mode)
-                target = result.assignment.target if result.feasible \
-                    else None
-                digest.update(repr((
-                    name, mode.value, result.status, result.cardinality,
-                    target, result.stats["transitions"],
-                    result.stats["entries"])).encode())
-        assert digest.hexdigest() == SLOPED_LINES_DIGEST
+        assert solve_digest(sloped_lines()) == SLOPED_LINES_DIGEST
+
+    @pytest.mark.parametrize("name,cases", [
+        ("bench_lines", bench_lines()), ("DP_CORPUS", DP_CORPUS),
+        ("sloped_lines", sloped_lines())])
+    def test_outputs_pinned(self, name, cases):
+        # optimum, tie-break and entries; transitions may only fall
+        assert solve_digest(cases, transitions=False) == OUTPUT_DIGESTS[name]
 
     @settings(max_examples=150, deadline=None)
     @given(shared_centre_lines())
