@@ -268,8 +268,23 @@ def solve_collinear(
 
     Indexed by right end, a transition into ``(a, b, A, B)`` examines only
     the windows that end at ``a - 1`` and belong to a disk left of ``A``:
-    at most ``n^2`` of them, so ``O(n^4)`` in all, and about ``n^3`` on
-    dense unit-spaced lines.
+    at most ``n^2`` of them, so ``O(n^4)`` in all.  Two rules keep out
+    the windows that no chain can use, without changing any output or
+    ``entries``:
+
+    * *No predecessor.*  A window with ``A == 1`` and ``a > 1`` gets no
+      record: a predecessor would need ``t < A = 1``, so its score would
+      stay 0, and a window of score 0 is never a predecessor, never
+      counted and never the answer.
+    * *No successor.*  A window with ``B == n`` and ``b < n`` is scored
+      but goes into no bucket: a successor ``u`` would need ``B < u <=
+      n``.
+
+    The last bucket never empties: if the first rule drops the one-disk
+    window at position ``n``, that disk strictly covers every centre, so
+    its full prefix is the window ``(1, n)``, which both rules keep.  On
+    dense unit-spaced lines the rules keep about ``n^3 / 26``
+    transitions of the ``n^3 / 7`` that scoring every window examines.
     ``stats["transitions"]`` counts those bucket entries examined and
     ``stats["entries"]`` the windows that some chain reaches.
     """
@@ -286,11 +301,12 @@ def solve_collinear(
     for p, disk_id in enumerate(order, start=1):
         pos_of[disk_id] = p
 
-    # wins: one record (a, b, A, B, y, R) per feasible window, in
-    # ascending (y, prefix length); R is the prefix's aggregate.
-    # ending_at[b]: (y, B, index) of the windows that end at b, in list
-    # order -- a predecessor of window (a, b, A, B) ends at a - 1 and
-    # starts left of A
+    # wins: one record (a, b, A, B, y, R) per feasible window that can
+    # have a predecessor, in ascending (y, prefix length); R is the
+    # prefix's aggregate.  ending_at[b]: (y, B, index) of the windows
+    # that end at b and can have a successor, in list order -- a
+    # predecessor of window (a, b, A, B) ends at a - 1 and starts left
+    # of A
     wins: list[tuple[int, int, int, int, int, int]] = []
     ending_at: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
     for y in range(1, n + 1):
@@ -324,7 +340,10 @@ def solve_collinear(
                 elif q > B:
                     B = q
                 inside += 1
-            ending_at[hi].append((y, B, len(wins)))
+            if A == 1 and lo > 1:
+                continue               # no predecessor: best stays 0
+            if B < n or hi == n:       # else no successor
+                ending_at[hi].append((y, B, len(wins)))
             wins.append((lo, hi, A, B, y, R))
 
     # best[w]: the most windows in a chain that covers positions 1..b and
@@ -357,7 +376,8 @@ def solve_collinear(
 
     # a prefix lies strictly inside its aggregate, so A <= a and B >= b:
     # a window that ends at n also has z = B = n.  The single-disk window
-    # at position n is one of them; the first longest chain wins.
+    # at position n, or the window (1, n) if that disk covers every
+    # centre, is one of them; the first longest chain wins.
     last = max((v for _, _, v in ending_at[n]), key=best.__getitem__)
     stats = {"transitions": transitions, "entries": entries}
     if not best[last]:
