@@ -10,7 +10,11 @@ from hypothesis import given, settings, strategies as st
 from diskmerge.core import (Assignment, Disk, DisjointnessMode, Instance,
                             Point, centre_disjoint, verify_proper,
                             verify_uproper)
-from diskmerge.fixtures import chain_merge_instance, relaxed_only_instance
+from diskmerge.fixtures import (FORMULA_FIXTURES, chain_merge_instance,
+                                relaxed_only_instance, three_clause_formula)
+from diskmerge.formula import grid_embed
+from diskmerge.gadgets import GadgetKind, Pose, build_gadget
+from diskmerge.reduction import port_harness, reduce_sat
 from diskmerge.solvers import (FEASIBLE, INFEASIBLE, collinearity_check,
                                enumerate_proper_assignments, solve_collinear,
                                solve_exact_mcmd, solve_exact_rmcmd)
@@ -312,6 +316,71 @@ OUTPUT_DIGESTS = {
 }
 
 
+def dense_planar_corpus():
+    """Seeded dense planar instances, twelve each of 1 to 9 disks:
+    centres on a quarter grid in ``[-n/2, n/2]^2`` and radii ``k/4`` for
+    ``k`` in 2..8, so most pairs overlap."""
+    rng = random.Random(2601)
+    cases = []
+    for k in range(108):
+        n = k % 9 + 1
+        cases.append((f"dense-planar{n}.{k}", mk(*[
+            (F(rng.randint(-2 * n, 2 * n), 4),
+             F(rng.randint(-2 * n, 2 * n), 4), F(rng.randint(2, 8), 4))
+            for _ in range(n)])))
+    return cases
+
+
+def reduction_corpus():
+    """The port harness of every gadget kind and the reduced instance of
+    every formula fixture."""
+    cases = [(f"harness-{kind.value}",
+              port_harness(build_gadget(kind, Pose())).instance)
+             for kind in GadgetKind]
+    for name, fn in sorted(FORMULA_FIXTURES.items()):
+        f, rep = fn()
+        cases.append((name, reduce_sat(f, grid_embed(f, rep)).instance))
+    return cases
+
+
+def oracle_digest(cases, relaxed_max_n=9):
+    """sha256 over both exact oracles in both modes on ``cases``: name,
+    mode, status, cardinality, target and the strict ``accepted`` /
+    relaxed ``checked`` counter.  The relaxed oracle only runs on
+    instances of at most ``relaxed_max_n`` disks."""
+    digest = hashlib.sha256()
+    for name, inst in cases:
+        for mode in (MAX, SUM):
+            solvers = [(solve_exact_mcmd, "accepted")]
+            if inst.n <= relaxed_max_n:
+                solvers.append((solve_exact_rmcmd, "checked"))
+            for solve, counter in solvers:
+                result = solve(inst, mode, max_n=inst.n)
+                target = result.assignment.target if result.feasible \
+                    else None
+                digest.update(repr((
+                    name, mode.value, solve.__name__, result.status,
+                    result.cardinality, target,
+                    result.stats[counter])).encode())
+    return digest.hexdigest()
+
+
+# sha256 of both oracles over each corpus, recorded before the search's
+# disjointness test read conflict rows
+ORACLE_DIGESTS = {
+    "ORACLE_CORPUS":
+        "d91ee26b640194237fc09909ae837649c7c1652b61e7ff27b292c311d3e43c5d",
+    "dense_planar":
+        "e0da9096ecea539eb9ae9f32b273248c595986653951420a83f38e91e88fc30d",
+    "reductions":
+        "9ce947a18923c7734817ddc2666736029150898caba2e2ed6655608801ca6461",
+}
+# sha256 over the repr of every target tuple, in order, that the strict
+# enumeration of the whole three_clause reduction yields
+THREE_CLAUSE_ENUMERATION_DIGEST = \
+    "437e5cacebc2de400ee10e670ac4a1d2926efea1e6f372eb4f9599e6ea7527dd"
+
+
 @st.composite
 def shared_centre_lines(draw):
     """2 to 7 disks on an axis-aligned or sloped line; at least two share
@@ -493,6 +562,33 @@ class TestRelaxedOracle:
         assert solve_exact_rmcmd(inst, SUM).cardinality == 2
         assert solve_collinear(inst, MAX).cardinality == 2
         assert solve_exact_mcmd(inst, MAX).cardinality == 2
+
+
+class TestOraclesPinned:
+    def test_oracle_corpus_pinned(self):
+        assert oracle_digest(ORACLE_CORPUS) == \
+            ORACLE_DIGESTS["ORACLE_CORPUS"]
+
+    def test_dense_planar_pinned(self):
+        assert oracle_digest(dense_planar_corpus()) == \
+            ORACLE_DIGESTS["dense_planar"]
+
+    def test_reductions_pinned(self):
+        # the relaxed search of a whole reduction outgrows tier-1 from
+        # about 70 disks; the strict one runs on all of them
+        assert oracle_digest(reduction_corpus(), relaxed_max_n=16) == \
+            ORACLE_DIGESTS["reductions"]
+
+    def test_three_clause_enumeration_pinned(self):
+        f, rep = three_clause_formula()
+        inst = reduce_sat(f, grid_embed(f, rep)).instance
+        digest = hashlib.sha256()
+        count = 0
+        for a in enumerate_proper_assignments(inst):
+            digest.update(repr(a.target).encode())
+            count += 1
+        assert (count, digest.hexdigest()) == \
+            (42, THREE_CLAUSE_ENUMERATION_DIGEST)
 
 
 class TestCollinearityCheck:
