@@ -16,8 +16,9 @@ into a selected disk.  Two verifiers are provided:
 Each rule is written once: :meth:`Instance.reach` walks the strict reach
 rule, ``Instance._reach(i, strict=False)`` walks the relaxed one (the
 bound the solvers' search prunes with), :func:`centre_disjoint` decides
-the MAX/SUM bound and ``_relaxed_walk`` checks the relaxed rule on a
-given member set.  The verifiers here and the solvers in
+the MAX/SUM bound, ``_close_pairs`` finds the pairs that can fail it
+under given aggregates and ``_relaxed_walk`` checks the relaxed rule on
+a given member set.  The verifiers here and the solvers in
 :mod:`diskmerge.solvers` all call these.
 
 Neighbour order is lazy.  One resumable sweep per disk
@@ -28,9 +29,10 @@ as its caller reads, so the reach walks, the prefix check of
 reach instead of sorting all ``n`` disks for every disk.  A reader asks
 for a count of neighbours or for every neighbour below a squared
 distance, in one call: a reach walk asks once per growth of its
-aggregate, not once per neighbour.  Both verifiers check disjointness
-the same way: each selected disk reads its walk, in one call, only as
-far as a pair could fail, instead of testing all selected pairs.
+aggregate, not once per neighbour.  Disjointness is found the same way
+in both verifiers and in the exact search (``_close_pairs``): each disk
+reads its walk, in one call, only as far as a pair could fail, instead
+of testing all pairs.
 
 Inputs and outputs are exact :class:`fractions.Fraction` values.  Inside,
 :class:`Instance` scales every coordinate and radius by ``L``, the lcm of
@@ -418,7 +420,9 @@ class Assignment:
             tup = tuple(target)
             n = len(tup)
         for t in tup:
-            if not isinstance(t, int) or not (1 <= t <= n):
+            if not isinstance(t, int) or isinstance(t, bool):
+                raise FormatError(f"assignment target {t!r} is not an int")
+            if not 1 <= t <= n:
                 raise FormatError(f"assignment target {t!r} out of range 1..{n}")
         self.target = tup
         self.n = n
@@ -505,24 +509,39 @@ def _check_shape(instance: Instance, assignment: Assignment,
     return ok
 
 
-def _check_disjoint(instance: Instance,
-                    groups: dict[int, tuple[tuple[int, ...], int]],
-                    mode: DisjointnessMode, violations: list[str]) -> None:
-    """Report the selected pairs that are not centre-disjoint, ascending.
+def _close_pairs(instance: Instance, aggregates: Mapping[int, int],
+                 mode: DisjointnessMode) -> list[tuple[int, int, int]]:
+    """The pairs ``(i, j, _d2(i, j))`` of disks in ``aggregates`` (id ->
+    aggregate radius in units of ``1/L``) that can fail centre-disjointness
+    under ``mode`` with aggregates at most these, each pair once.
+
     A failing pair has ``d2 < max**2`` (SUM: ``(a_i + a_j)**2 <= (2
-    max)**2``), so the disk of larger ``(a, id)`` meets it in its walk
-    before ``a**2`` (SUM: ``(2a)**2``) and tests it there, once."""
-    agg = {i: a for i, (_, a) in groups.items()}
-    failing = []
-    for i, a in agg.items():
-        limit = (a if mode is DisjointnessMode.MAX else 2 * a) ** 2
+    max)**2``), so the disk ``i`` of larger ``(a, id)`` meets it in its
+    walk before ``a**2`` (SUM: ``(2a)**2``) and reports it there, as ``(i,
+    j, d2)``.  Each disk reads its own walk, in one call, that far and no
+    farther."""
+    pairs = []
+    double = mode is DisjointnessMode.SUM
+    for i, a in aggregates.items():
+        limit = (2 * a if double else a) ** 2
         for d2, j in instance._walk(i, 0, limit):
             if d2 >= limit:
                 break
-            b = agg.get(j)
-            if b is not None and (b, j) < (a, i) and \
-                    not centre_disjoint(d2, a, b, mode):
-                failing.append((min(i, j), max(i, j)))
+            b = aggregates.get(j)
+            if b is not None and (b, j) < (a, i):
+                pairs.append((i, j, d2))
+    return pairs
+
+
+def _check_disjoint(instance: Instance,
+                    groups: dict[int, tuple[tuple[int, ...], int]],
+                    mode: DisjointnessMode, violations: list[str]) -> None:
+    """Report the selected pairs that are not centre-disjoint, ascending:
+    the :func:`_close_pairs` of the aggregates that fail the test."""
+    agg = {i: a for i, (_, a) in groups.items()}
+    failing = [(min(i, j), max(i, j))
+               for i, j, d2 in _close_pairs(instance, agg, mode)
+               if not centre_disjoint(d2, agg[i], agg[j], mode)]
     for i, j in sorted(failing):
         violations.append(f"selected disks {i} and {j} are not "
                           f"centre-disjoint ({mode.value} rule)")

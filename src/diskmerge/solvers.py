@@ -8,7 +8,10 @@ Two engines live here:
   come out in lexicographic order of the target tuple, and it prunes
   only subtrees that hold no accepted assignment (reach, disjointness of
   partial aggregates) or, when optimising the relaxed rule, none better
-  than the best found.  Three thin wrappers sit on it:
+  than the best found.  Its disjointness test reads *conflict rows*,
+  built once per search: each disk's row holds only the disks that can
+  fail centre-disjointness with it at some node, so pairs too far apart
+  to fail are never tested.  Three thin wrappers sit on it:
   :func:`enumerate_proper_assignments` yields every strictly accepted
   assignment, and :func:`solve_exact_mcmd` / :func:`solve_exact_rmcmd`
   return the optimum under the strict / relaxed rule, ties broken
@@ -26,6 +29,7 @@ from .core import (
     Assignment,
     DisjointnessMode,
     Instance,
+    _close_pairs,
     _relaxed_walk,
     centre_disjoint,
     verify_proper,
@@ -79,6 +83,20 @@ def _search(instance: Instance, mode: DisjointnessMode, relaxed: bool,
     found (-1 before the first leaf, so the empty leaf of ``n == 0`` is
     kept), so each leaf it yields beats the one before.
     ``stats["checked"]`` counts search nodes once the search is done.
+
+    The disjointness check reads conflict rows: ``rows[t]`` maps each
+    disk ``s`` that can fail centre-disjointness with ``t`` to ``_d2(t,
+    s)``.  They are the ``_close_pairs`` of the last aggregates ``U`` of
+    the walks under the rule, which bound every aggregate a disk reaches
+    in the search, so a pair outside them is centre-disjoint at every
+    node.  The check loops over the selected disks and looks each one up
+    in the row: it calls no ``_d2``, and on a dense near-clique, whose
+    rows hold almost every disk, it tests no more pairs than a check of
+    all of them.  Building the rows reads each disk's walk out to its
+    ``U`` (``2U`` under SUM).  A disk whose ``U`` spans the instance,
+    such as an anchor of ``reduce_partition`` under the relaxed rule,
+    reads its whole walk and its row holds every disk; when most disks
+    are like that, the rows hold O(n²) pairs.
     """
     n, r = instance.n, instance._r
     # candidate targets of each disk i as (t, k), ascending in t: i itself
@@ -92,12 +110,27 @@ def _search(instance: Instance, mode: DisjointnessMode, relaxed: bool,
         for k, i in enumerate(seqs[t], start=1):
             covers[i].append((t, k))
     cands = [tuple(sorted(c)) for c in covers]
+    # conflict rows: rows[t][s] = _d2(t, s) for every s that can fail
+    # centre-disjointness with t once both aggregates are at most their U
+    rows: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    bounds = {t: reach[t][-1] for t in range(1, n + 1)}
+    for t, s, d2 in _close_pairs(instance, bounds, mode):
+        rows[t][s] = rows[s][t] = d2
     target = [0] * (n + 1)              # 0 = undecided
     agg = [0] * (n + 1)                 # partial aggregates of selected disks
     members: list[list[int]] = [[] for _ in range(n + 1)]
     selected: list[int] = []
     best_card = -1                      # the empty leaf of n == 0 counts
     checked = 0
+
+    def clashes(t: int, grown: int) -> bool:
+        # t at aggregate grown fails centre-disjointness with a selected disk
+        row = rows[t]
+        for s in selected:
+            d2 = row.get(s)
+            if d2 is not None and not centre_disjoint(d2, grown, agg[s], mode):
+                return True
+        return False
 
     def rec(i: int, undecided: int):
         nonlocal best_card, checked
@@ -125,9 +158,7 @@ def _search(instance: Instance, mode: DisjointnessMode, relaxed: bool,
                 new, grown = seqs[t][len(members[t]):k], reach[t][k]
                 if any(target[j] for j in new):
                     continue
-            if not all(s == t or centre_disjoint(instance._d2(t, s), grown,
-                                                 agg[s], mode)
-                       for s in selected):
+            if clashes(t, grown):
                 continue
             previous = agg[t]
             target[t] = t

@@ -53,14 +53,28 @@ def equalize_radii(instance: Instance, r: Fraction) -> EqualizedInstance:
     return EqualizedInstance(Instance(disks), r, origin)
 
 
+def _exact(value) -> bool:
+    """Whether ``value`` is an int or a Fraction; a bool or a float is
+    not."""
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PartitionInput:
+    """The values to split, each a positive int or an integral Fraction,
+    and ``e`` of the receivers' height ``5s/2 + e``, an int or a
+    Fraction (see :func:`reduce_partition`)."""
+
     values: tuple[int, ...]
     e: Fraction = F(1, 2)
 
     def __post_init__(self):
-        if not self.values or any(v <= 0 for v in self.values):
+        if not self.values or not all(
+                _exact(v) and v.denominator == 1 and v > 0
+                for v in self.values):
             raise FormatError("values must be positive integers")
+        if not _exact(self.e):
+            raise FormatError(f"e must be an exact rational, got {self.e!r}")
         if not 0 < self.e < 1:
             raise FormatError("e must satisfy 0 < e < 1")
 

@@ -177,6 +177,21 @@ HAND_BUILT_FORMULAS = {
 }
 
 
+def _converse(formula, art):
+    """The number of accepted assignments of ``art``'s instance, the
+    valuations they decode to and the satisfying valuations of
+    ``formula``, each valuation as sorted ``(variable, bit)`` pairs."""
+    accepted = list(enumerate_proper_assignments(art.instance))
+    decoded = {tuple(sorted(extract_sat_assignment(art, a).items()))
+               for a in accepted}
+    satisfying = set()
+    for bits in product((0, 1), repeat=formula.num_variables):
+        val = {v + 1: bits[v] for v in range(formula.num_variables)}
+        if formula.is_satisfied(val):
+            satisfying.add(tuple(sorted(val.items())))
+    return len(accepted), decoded, satisfying
+
+
 def test_criterion_4_reduction_converse_soundness():
     # the other direction: every accepted assignment of a whole reduced
     # instance decodes to a satisfying valuation, so an unsatisfiable
@@ -187,21 +202,44 @@ def test_criterion_4_reduction_converse_soundness():
     for name, fn in {**FORMULA_FIXTURES, **HAND_BUILT_FORMULAS}.items():
         formula, rep = fn()
         art = reduce_sat(formula, grid_embed(formula, rep))
-        accepted = list(enumerate_proper_assignments(art.instance))
-        decoded = {tuple(sorted(extract_sat_assignment(art, a).items()))
-                   for a in accepted}
-        satisfying = set()
-        for bits in product((0, 1), repeat=formula.num_variables):
-            val = {v + 1: bits[v] for v in range(formula.num_variables)}
-            if formula.is_satisfied(val):
-                satisfying.add(tuple(sorted(val.items())))
+        accepted, decoded, satisfying = _converse(formula, art)
         ok &= decoded == satisfying
-        counts[name] = (len(accepted), len(satisfying))
+        counts[name] = (accepted, len(satisfying))
     elapsed = time.time() - t0
     report("4b", ok and elapsed < 30,
            f"accepted assignments of whole reduced instances decode to "
            f"exactly the satisfying valuations on {len(counts)} formulas "
            f"(accepted, satisfying: {counts}; {elapsed:.1f}s)")
+
+
+def chain_formula(num_variables):
+    """Variable v on segment (10(v-1), 10(v-1)+9); clause k = (k, k+1)
+    for k = 1..V-1, positive on row 1 when k is odd and negative on row
+    -1 when k is even, with legs at columns 10k-4 and 10k+3.  Setting the
+    odd variables true satisfies it."""
+    return _formula(
+        num_variables,
+        [(POS if k % 2 else NEG, (k, k + 1))
+         for k in range(1, num_variables)],
+        tuple((10 * (v - 1), 10 * (v - 1) + 9)
+              for v in range(1, num_variables + 1)),
+        tuple(1 if k % 2 else -1 for k in range(1, num_variables)),
+        tuple((10 * k - 4, 10 * k + 3) for k in range(1, num_variables)))
+
+
+def test_criterion_4_reduction_converse_long_chain():
+    # the converse on a drawing ten variables long: 380 disks, where the
+    # search's conflict rows keep each disjointness test local
+    t0 = time.time()
+    formula, rep = chain_formula(10)
+    art = reduce_sat(formula, rep)
+    accepted, decoded, satisfying = _converse(formula, art)
+    ok = (art.instance.n, accepted, len(satisfying)) == (380, 20, 11)
+    ok &= decoded == satisfying
+    report("4b", ok, f"the 380-disk chain formula at V = 10 has "
+           f"{accepted} accepted assignments, decoding to its "
+           f"{len(satisfying)} satisfying valuations "
+           f"({time.time() - t0:.1f}s)")
 
 
 def test_criterion_5_grid_bound():

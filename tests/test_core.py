@@ -16,10 +16,10 @@ from hypothesis import given, settings, strategies as st
 import diskmerge
 from diskmerge import core
 from diskmerge.core import (Assignment, Disk, DisjointnessMode, FormatError,
-                            Instance, Point, _merge_groups, _relaxed_walk,
-                            aggregate_radius, cardinality, centre_disjoint,
-                            format_rational, parse_rational, verify_proper,
-                            verify_uproper)
+                            Instance, Point, _close_pairs, _merge_groups,
+                            _relaxed_walk, aggregate_radius, cardinality,
+                            centre_disjoint, format_rational, parse_rational,
+                            verify_proper, verify_uproper)
 
 MAX = DisjointnessMode.MAX
 SUM = DisjointnessMode.SUM
@@ -165,6 +165,14 @@ class TestAssignment:
         # in which the target names them
         groups = _merge_groups(inst, Assignment((3, 2, 3)))
         assert list(groups.items()) == [(2, ((), 2)), (3, ((1,), 4))]
+
+    @pytest.mark.parametrize("target", [(True, 2), (1, 2.0), (1, "2")])
+    def test_rejects_non_int_targets(self, target):
+        # True == 1 would pass the range check, and serialize as "True"
+        with pytest.raises(FormatError, match="is not an int"):
+            Assignment(target)
+        with pytest.raises(FormatError):
+            Assignment(dict(enumerate(target, start=1)))
 
 
 class TestVerifyProper:
@@ -706,6 +714,28 @@ class TestLocalDisjointness:
                     for j, (_, b) in groups.items() if i < j)
         # the corpus must hold failing pairs and exact contact
         assert failing >= 2000 and tangent >= 1000, (failing, tangent)
+
+
+class TestClosePairs:
+    def test_matches_definition(self):
+        # every pair within the walk limit of its disk of larger
+        # (aggregate, id), a**2 under MAX and (2a)**2 under SUM, reported
+        # once by that disk; each pair that fails the rule is among them
+        for rows, target in disjointness_cases(600):
+            inst = mk(*rows)
+            agg = {i: a for i, (_, a) in
+                   _merge_groups(inst, Assignment(target)).items()}
+            for mode, scale in ((MAX, 1), (SUM, 2)):
+                got = _close_pairs(inst, agg, mode)
+                assert sorted(got) == sorted(
+                    (i, j, inst._d2(i, j)) for i in agg for j in agg
+                    if (agg[j], j) < (agg[i], i) and
+                    inst._d2(i, j) < (scale * agg[i]) ** 2)
+                close = {frozenset((i, j)) for i, j, _ in got}
+                assert all(frozenset((i, j)) in close
+                           for i in agg for j in agg if i < j and
+                           not centre_disjoint(inst._d2(i, j), agg[i],
+                                               agg[j], mode))
 
 
 class TestRuleImplication:

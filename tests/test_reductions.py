@@ -469,6 +469,20 @@ class TestReducePartition:
         with pytest.raises(FormatError):
             PartitionInput((F(0),))
 
+    @pytest.mark.parametrize("values,e", [
+        ((1.5, 1), F(1, 2)), ((1.0, 1), F(1, 2)), ((F(3, 2), 1), F(1, 2)),
+        ((True, 1), F(1, 2)), (("1", 1), F(1, 2)), ((1, 1), 0.5),
+        ((1, 1), True), ((1, 1), "1/2")])
+    def test_rejects_inexact_input(self, values, e):
+        # a float value would make every coordinate a float; a bool or a
+        # non-integral value is not a partition value
+        with pytest.raises(FormatError):
+            PartitionInput(values, e)
+
+    def test_integral_fractions_and_ints_agree(self):
+        assert reduce_partition(PartitionInput((F(3), F(1)), F(1, 3))) == \
+            reduce_partition(PartitionInput((3, 1), F(1, 3)))
+
     def test_balanced_sets_reach_four(self):
         inst = reduce_partition(PartitionInput((F(1), F(1))))
         assert solve_exact_rmcmd(inst).cardinality == 4
