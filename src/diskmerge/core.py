@@ -13,13 +13,13 @@ into a selected disk.  Two verifiers are provided:
   dropped; absorbed centres must be reachable (non-strictly) when taken in
   distance order, and centre-disjointness still applies.
 
-Each rule is written once: :meth:`Instance.reach` walks the strict reach
-rule, ``Instance._reach(i, strict=False)`` walks the relaxed one (the
-bound the solvers' search prunes with), :func:`centre_disjoint` decides
-the MAX/SUM bound, ``_close_pairs`` finds the pairs that can fail it
-under given aggregates and ``_relaxed_walk`` checks the relaxed rule on
-a given member set.  The verifiers here and the solvers in
-:mod:`diskmerge.solvers` all call these.
+Each rule is written once: ``Instance._reach`` walks the strict reach
+rule and, with ``strict=False``, the relaxed one (the bound the solvers'
+search prunes with), :func:`centre_disjoint` decides the MAX/SUM bound,
+``_close_pairs`` finds the pairs that can fail it under given aggregates
+and ``_relaxed_walk`` checks the relaxed rule on a given member set.
+The verifiers here and the solvers in :mod:`diskmerge.solvers` all call
+these; :meth:`Instance.reach` is the strict walk's Fraction view.
 
 Neighbour order is lazy.  One resumable sweep per disk
 (``Instance._walk``) yields the other disks in the exact ``(distance,
@@ -34,18 +34,17 @@ in both verifiers and in the exact search (``_close_pairs``): each disk
 reads its walk, in one call, only as far as a pair could fail, instead
 of testing all pairs.
 
-Inputs and outputs are exact :class:`fractions.Fraction` values.  Inside,
-:class:`Instance` scales every coordinate and radius by ``L``, the lcm of
-their lowest-terms denominators, so each verdict compares squared
-distances and aggregate radii as Python ints (in units of ``1/L``); no
-floating point is involved anywhere.  Those scaled ints are an instance's
-one representation.  The parser and the reduction build instances from
-columns of numerators and denominators (``Instance._from_columns``),
-the serializer and the SVG renderer format the ints, and
-:attr:`Instance.disks` is a view built from them on first read, once; so
-a document goes through parse, verify, render and serialize without a
-Fraction per value.  The README's "Notes on performance" has the
-numbers.
+An exact number is an ``int`` or a :class:`fractions.Fraction`
+(``type(v) in _EXACT``, so not a bool, a float or a subclass), and every
+Python entry point rejects anything else with :class:`FormatError`.
+Inside, :class:`Instance` scales every coordinate and radius by ``L``,
+the lcm of their lowest-terms denominators, so each verdict compares
+squared distances and aggregate radii as Python ints (in units of
+``1/L``); no floating point is involved anywhere.  Those scaled ints and
+the walks over them are all an instance keeps.  The constructor, the
+parser and the reduction hand it int columns, the serializer and the SVG
+renderer format the ints, and :attr:`Instance.disks` is a view built
+from them on first read, once.
 """
 
 from __future__ import annotations
@@ -56,13 +55,15 @@ from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
-from operator import attrgetter, mul
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 # ASCII digits only, matched with fullmatch: ``\d`` would take any Unicode
 # digit and ``$`` a trailing newline
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _INT_RE = re.compile(r"0|-?[1-9][0-9]*")  # canonical ints only
+# exact numbers, matched by type(v): not a bool, a float or a subclass
+_EXACT = frozenset((int, Fraction))
 
 
 class FormatError(ValueError):
@@ -70,32 +71,31 @@ class FormatError(ValueError):
 
 
 def _rational_terms(value) -> tuple[int, int]:
-    """The lowest terms ``(num, den)``, ``den > 0``, of an exact rational
-    given as an int, a Fraction or a ``"p/q"`` / integer string."""
-    if isinstance(value, str):
-        match = _RATIONAL_RE.fullmatch(value)
-        if match is None:
+    """The lowest terms ``(num, den)``, ``den > 0``, of an exact number
+    or of a ``"p/q"`` / integer string."""
+    if type(value) is not str:
+        if type(value) not in _EXACT:
             raise FormatError(f"not a rational number: {value!r}")
-        num, den = match.groups()
-        try:
-            num, den = int(num), int(den or 1)
-        except ValueError:  # more digits than int() converts
-            raise FormatError(
-                f"rational has too many digits ({len(value)} characters)"
-            ) from None
-        if den == 0:
-            raise FormatError(f"zero denominator: {value!r}")
-        g = gcd(num, den)
-        return (num // g, den // g) if g > 1 else (num, den)
-    if isinstance(value, bool):
-        raise FormatError(f"not a rational number: {value!r}")
-    if isinstance(value, (int, Fraction)):
         return value.numerator, value.denominator
-    raise FormatError(f"not a rational number: {value!r}")
+    match = _RATIONAL_RE.fullmatch(value)
+    if match is None:
+        raise FormatError(f"not a rational number: {value!r}")
+    num, den = match.groups()
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:  # more digits than int() converts
+        raise FormatError(
+            f"rational has too many digits ({len(value)} characters)"
+        ) from None
+    if den == 0:
+        raise FormatError(f"zero denominator: {value!r}")
+    g = gcd(num, den)
+    return (num // g, den // g) if g > 1 else (num, den)
 
 
 def parse_rational(value) -> Fraction:
-    """Parse an exact rational from an int or a ``"p/q"`` / integer string."""
+    """Parse an exact rational from an exact number or a ``"p/q"`` /
+    integer string."""
     return Fraction(*_rational_terms(value))
 
 
@@ -152,40 +152,42 @@ class Instance:
 
     Coordinates and radii are kept scaled by ``L``, the lcm of all their
     lowest-terms denominators, as ints indexed by disk id; squared
-    distances (``_d2``) and strict reach (``_reach``) are ints in those
+    distances (``_d2``) and reach walks (``_reach``) are ints in those
     units.  These ints are the one representation: equality and hashing
     compare them, :meth:`radius` and :meth:`center` build their one value
-    from them, and :attr:`disks` is a view of them.  Disks passed to the
-    constructor are kept as that view; an instance built from int columns
-    (:meth:`_from_columns`, used by the parser and the reduction) builds
-    it on first read, once.
+    from them, and :attr:`disks` is a view of them, built on first read
+    and then kept.  No object of the caller's is kept.
 
     Neighbours come from one lazy walk per disk (:meth:`_walk`) in the
     exact ``(d2, id)`` order of :meth:`neighbor_sequence`.  It computes
     only as far as a caller reads, so :meth:`_reach` and the prefix
     readers in the verifiers and solvers stop at the first neighbour out
-    of reach instead of sorting all ``n`` disks.  The walk keeps its state
+    of reach instead of sorting all ``n`` disks.  Besides :attr:`disks`,
+    the walks are all an instance adds to its ints.  They keep their state
     in plain lists and ints, so an instance pickles mid-walk.
     """
 
     def __init__(self, disks: Iterable[Disk]):
-        """Each value is a Fraction (or an int), read as its exact
-        ``as_integer_ratio()``."""
-        disks = tuple(sorted(disks, key=attrgetter("id")))
+        """The instance of ``disks``, in any order: each id an int and
+        each value an exact number, else :class:`FormatError`."""
         cols = ids, xn, xd, yn, yd, rn, rd = [], [], [], [], [], [], []
+        exact = _EXACT
         for d in disks:
-            ids.append(d.id)
-            num, den = d.center.x.as_integer_ratio()
+            i, x, y, r = d.id, d.center.x, d.center.y, d.radius
+            if type(i) is not int or type(x) not in exact or \
+                    type(y) not in exact or type(r) not in exact:
+                raise FormatError(f"not an int id with exact values: {d!r}")
+            ids.append(i)
+            num, den = x.as_integer_ratio()
             xn.append(num)
             xd.append(den)
-            num, den = d.center.y.as_integer_ratio()
+            num, den = y.as_integer_ratio()
             yn.append(num)
             yd.append(den)
-            num, den = d.radius.as_integer_ratio()
+            num, den = r.as_integer_ratio()
             rn.append(num)
             rd.append(den)
         self._setup(*cols)
-        self._disks: Optional[tuple[Disk, ...]] = disks
 
     @classmethod
     def _from_columns(cls, ids: list[int], xn: list[int], xd: list[int],
@@ -198,7 +200,6 @@ class Instance:
         disk: the columns hold ints only."""
         self = cls.__new__(cls)
         self._setup(ids, xn, xd, yn, yd, rn, rd)
-        self._disks = None
         return self
 
     def _setup(self, ids: list[int], *terms: list[int]) -> None:
@@ -223,14 +224,14 @@ class Instance:
         if n and min(self._r[1:]) <= 0:  # L > 0 keeps each sign
             i = next(i for i in want if self._r[i] <= 0)
             raise FormatError(f"disk {i} has non-positive radius")
+        self._disks: Optional[tuple[Disk, ...]] = None
         # sweep axis, set up by the first walk: ids sorted by (axis
         # coordinate, id), their coordinates, and each id's position
         self._order: list[int] = []
         self._coords: list[int] = []
         self._rank: list[int] = []
-        # disk -> [pairs released, heap, left frontier, right frontier]
+        # disk -> [pairs released, heap, left and right frontiers, bound]
         self._walks: dict[int, list] = {}
-        self._reaches: dict[tuple[int, bool], tuple[int, ...]] = {}
 
     @property
     def disks(self) -> tuple[Disk, ...]:
@@ -356,31 +357,29 @@ class Instance:
         aggregate so far (``d2 < total**2``, or ``d2 < total**2 + 1`` under
         the relaxed rule, since ``d2`` is an int) and takes them in order.
         The walk ends at a neighbour beyond the aggregate, or after a
-        round that releases nothing new.
+        round that releases nothing new.  Nothing is kept: a second call
+        reads again the pairs the first one had released.
         """
-        aggs = self._reaches.get((i, strict))
-        if aggs is None:
-            r = self._r
-            total = r[i]
-            walk = [total]
-            slack = 0 if strict else 1  # relaxed: d2 <= total**2
+        r = self._r
+        total = r[i]
+        walk = [total]
+        slack = 0 if strict else 1  # relaxed: d2 <= total**2
+        limit = total * total + slack
+        pairs = self._walk(i, 0, limit)
+        size = len(pairs)
+        k = 0
+        while k < size:
+            d2, j = pairs[k]
+            if d2 >= limit:
+                break
+            total += r[j]
+            walk.append(total)
             limit = total * total + slack
-            pairs = self._walk(i, 0, limit)
-            size = len(pairs)
-            k = 0
-            while k < size:
-                d2, j = pairs[k]
-                if d2 >= limit:
-                    break
-                total += r[j]
-                walk.append(total)
-                limit = total * total + slack
-                k += 1
-                if k == size:  # next round: extends pairs
-                    self._walk(i, 0, limit)
-                    size = len(pairs)
-            aggs = self._reaches[i, strict] = tuple(walk)
-        return aggs
+            k += 1
+            if k == size:  # next round: extends pairs
+                self._walk(i, 0, limit)
+                size = len(pairs)
+        return tuple(walk)
 
     def reach(self, i: int) -> tuple[Fraction, ...]:
         """Running aggregate radii of disk ``i`` under the strict reach rule.

@@ -140,6 +140,24 @@ def variables_only_formula() -> tuple[MonotoneFormula, RectilinearRep]:
     return formula, rep
 
 
+def chain_formula(num_variables: int
+                  ) -> tuple[MonotoneFormula, RectilinearRep]:
+    """A path of ``V = num_variables`` variables, drawn at any length:
+    variable v on segment (10(v-1), 10(v-1)+9); clause k = (k, k+1) for
+    k = 1..V-1, positive on row 1 when k is odd and negative on row -1
+    when k is even, with legs at columns 10k-4 and 10k+3.  Setting the
+    odd variables true satisfies it.  From V = 2 on, ``reduce_sat``
+    makes 42V - 40 disks of it (100,760 at V = 2,400)."""
+    V = num_variables
+    formula = _f(V, [(Polarity.POSITIVE if k % 2 else Polarity.NEGATIVE,
+                      (k, k + 1)) for k in range(1, V)])
+    rep = RectilinearRep(
+        tuple((10 * (v - 1), 10 * (v - 1) + 9) for v in range(1, V + 1)),
+        tuple(1 if k % 2 else -1 for k in range(1, V)),
+        tuple((10 * k - 4, 10 * k + 3) for k in range(1, V)))
+    return formula, rep
+
+
 FORMULA_FIXTURES = {
     "three_clause": three_clause_formula,
     "single_positive": single_positive_clause,

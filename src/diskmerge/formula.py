@@ -28,6 +28,9 @@ class Clause:
     literals: tuple[int, ...]
 
     def __post_init__(self):
+        if any(type(v) is not int for v in self.literals):
+            raise FormatError(f"clause literals must be ints, got "
+                              f"{self.literals}")
         if not 1 <= len(self.literals) <= 3:
             raise FormatError("clause needs 1..3 literals")
         if len(set(self.literals)) != len(self.literals):
@@ -40,6 +43,9 @@ class MonotoneFormula:
     clauses: tuple[Clause, ...]
 
     def __post_init__(self):
+        if type(self.num_variables) is not int:
+            raise FormatError(f"variable count must be an int, got "
+                              f"{self.num_variables!r}")
         if self.num_variables < 0:
             raise FormatError("negative variable count")
         for cl in self.clauses:
@@ -69,16 +75,17 @@ class RectilinearRep:
 def validate_rep(formula: MonotoneFormula, rep: RectilinearRep) -> None:
     """Raise FormatError unless rep is a crossing-free drawing of formula.
 
-    Besides the shape checks, every leg must lie in its variable's
-    segment and all leg columns must be distinct.  The one crossing rule
-    is then: no leg on a clause's side of the axis whose row is at least
-    as far from the axis lies strictly inside that clause's span.  Two
-    clauses on one row cannot overlap without breaking it, since a leg
-    of one that lies in the other's span cannot share a column with
-    either end of that span, and so lies strictly inside.  The error
-    names the first clause that a leg crosses and the first such leg, in
-    clause order; a range max over the legs sorted by side and column
-    finds that clause in O((legs + clauses) log legs).
+    Every segment end, row and leg column must be an int.  Besides the
+    shape checks, every leg must lie in its variable's segment and all
+    leg columns must be distinct.  The one crossing rule is then: no leg
+    on a clause's side of the axis whose row is at least as far from the
+    axis lies strictly inside that clause's span.  Two clauses on one row
+    cannot overlap without breaking it, since a leg of one that lies in
+    the other's span cannot share a column with either end of that span,
+    and so lies strictly inside.  The error names the first clause that a
+    leg crosses and the first such leg, in clause order; a range max over
+    the legs sorted by side and column finds that clause in O((legs +
+    clauses) log legs).
     """
     if len(rep.variable_segments) != formula.num_variables:
         raise FormatError("one segment per variable required")
@@ -87,7 +94,7 @@ def validate_rep(formula: MonotoneFormula, rep: RectilinearRep) -> None:
         raise FormatError("one row and leg list per clause required")
 
     for lo, hi in rep.variable_segments:
-        if lo > hi:
+        if type(lo) is not int or type(hi) is not int or lo > hi:
             raise FormatError(f"bad variable segment ({lo},{hi})")
     segs = sorted(rep.variable_segments)
     for (_, hi), (lo, _) in zip(segs, segs[1:]):
@@ -97,6 +104,9 @@ def validate_rep(formula: MonotoneFormula, rep: RectilinearRep) -> None:
     all_legs: list[tuple[int, int, int]] = []  # (column, row, clause idx)
     for ci, (cl, row, cols) in enumerate(
             zip(formula.clauses, rep.clause_rows, rep.legs)):
+        if type(row) is not int or any(type(c) is not int for c in cols):
+            raise FormatError(f"clause {ci}: row and leg columns must be "
+                              f"ints, got {row!r}, {cols}")
         if len(cols) != len(cl.literals):
             raise FormatError(f"clause {ci}: one leg per literal required")
         if (row > 0) != (cl.polarity is Polarity.POSITIVE) or row == 0:

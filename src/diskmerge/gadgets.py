@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .core import FormatError, Point
+from .core import _EXACT, FormatError, Point
 
 F = Fraction
 
@@ -49,13 +49,18 @@ class GadgetKind(Enum):
 class Pose:
     """Orthogonal lattice transform: x ↦ M·x + t with M a signed
     permutation matrix (rotations by multiples of 90°, optional
-    mirror)."""
+    mirror) of ints and t a point of exact numbers."""
 
     matrix: tuple[int, int, int, int] = (1, 0, 0, 1)
     offset: Point = Point(F(0), F(0))
 
     def __post_init__(self):
         a, b, c, d = self.matrix
+        if any(type(v) is not int for v in self.matrix) or \
+                type(self.offset.x) not in _EXACT or \
+                type(self.offset.y) not in _EXACT:
+            raise FormatError(f"not an int matrix and an exact offset: "
+                              f"{self.matrix}, {self.offset}")
         # columns must be unit vectors and orthogonal
         if sorted((abs(a), abs(c))) != [0, 1] or \
                 sorted((abs(b), abs(d))) != [0, 1] or a * b + c * d != 0:
@@ -83,7 +88,8 @@ class Pose:
 
 
 def pose_at(x, y, matrix=(1, 0, 0, 1)) -> Pose:
-    return Pose(matrix, Point(F(x), F(y)))
+    """The pose of ``matrix`` with offset ``(x, y)``, two exact numbers."""
+    return Pose(matrix, Point(x, y))
 
 
 # local frames, every coordinate an int in units of 1/_DEN; radii are

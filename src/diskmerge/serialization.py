@@ -84,7 +84,7 @@ def parse_instance(text: str) -> Instance:
             x, y, r = terms(entry["x"]), terms(entry["y"]), terms(entry["r"])
         except KeyError as exc:
             raise FormatError(f"disk missing field {exc}") from exc
-        if not isinstance(disk_id, int) or isinstance(disk_id, bool):
+        if type(disk_id) is not int:
             raise FormatError(f"disk id must be an integer, got {disk_id!r}")
         ids.append(disk_id)
         xn.append(x[0])
@@ -127,14 +127,16 @@ def serialize_instance(instance: Instance,
 def _parse_int(value: Any) -> Optional[int]:
     """An int, or the canonical decimal string of one; ``None`` for values
     such as ``1.9``, ``true``, ``" 1"`` or ``"01"`` that ``int()`` would
-    coerce."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    coerce.  A canonical string with more digits than ``int()`` converts
+    is a FormatError that gives its length, not its digits."""
+    if type(value) is int:
         return value
-    if isinstance(value, str) and _INT_RE.fullmatch(value):
+    if type(value) is str and _INT_RE.fullmatch(value):
         try:
             return int(value)
-        except ValueError:  # more digits than int() converts
-            pass
+        except ValueError:
+            raise FormatError(f"integer has too many digits "
+                              f"({len(value)} characters)") from None
     return None
 
 
@@ -158,8 +160,7 @@ def serialize_assignment(assignment: Assignment) -> str:
 
 
 def _int_list(raw: Any, what: str) -> list[int]:
-    if not isinstance(raw, list) or \
-            any(not isinstance(v, int) or isinstance(v, bool) for v in raw):
+    if not isinstance(raw, list) or any(type(v) is not int for v in raw):
         raise FormatError(f"{what} must be a list of integers")
     return raw
 
@@ -167,7 +168,7 @@ def _int_list(raw: Any, what: str) -> list[int]:
 def parse_formula(text: str) -> MonotoneFormula:
     doc = _require(_load(text), "formula")
     nvars = doc.get("variables")
-    if not isinstance(nvars, int) or isinstance(nvars, bool):
+    if type(nvars) is not int:
         raise FormatError("formula document needs integer 'variables'")
     raw = doc.get("clauses")
     if not isinstance(raw, list):

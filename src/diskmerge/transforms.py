@@ -5,9 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .core import Disk, FormatError, Instance, Point
+from .core import _EXACT, Disk, FormatError, Instance, Point
 
 F = Fraction
 
@@ -30,6 +29,8 @@ def equalize_radii(instance: Instance, r: Fraction) -> EqualizedInstance:
     copies pairwise overlap, so any centre-disjoint selection keeps at
     most one of them.
 
+    ``r`` must be an exact number (an int or a Fraction).
+
     The relaxed optimum is not preserved in general, because the copies
     of one disk may merge into different targets.  The disks
     ((3/4, -1/2), 1), ((1/2, 1/4), 1), ((-3/4, -1/2), 2) and
@@ -38,6 +39,9 @@ def equalize_radii(instance: Instance, r: Fraction) -> EqualizedInstance:
     second disk and into a copy of the fourth.  The strict optimum is 1
     before and after.
     """
+    if type(r) not in _EXACT:
+        raise FormatError(f"target radius must be an exact rational, "
+                          f"got {r!r}")
     if r <= 0:
         raise FormatError("target radius must be positive")
     disks: list[Disk] = []
@@ -53,12 +57,6 @@ def equalize_radii(instance: Instance, r: Fraction) -> EqualizedInstance:
     return EqualizedInstance(Instance(disks), r, origin)
 
 
-def _exact(value) -> bool:
-    """Whether ``value`` is an int or a Fraction; a bool or a float is
-    not."""
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class PartitionInput:
     """The values to split, each a positive int or an integral Fraction,
@@ -70,10 +68,10 @@ class PartitionInput:
 
     def __post_init__(self):
         if not self.values or not all(
-                _exact(v) and v.denominator == 1 and v > 0
+                type(v) in _EXACT and v.denominator == 1 and v > 0
                 for v in self.values):
             raise FormatError("values must be positive integers")
-        if not _exact(self.e):
+        if type(self.e) not in _EXACT:
             raise FormatError(f"e must be an exact rational, got {self.e!r}")
         if not 0 < self.e < 1:
             raise FormatError("e must satisfy 0 < e < 1")

@@ -17,7 +17,8 @@ from itertools import product
 from diskmerge.cli import generate_random
 from diskmerge.core import (Assignment, Disk, DisjointnessMode, Instance,
                             Point, verify_proper, verify_uproper)
-from diskmerge.fixtures import (FORMULA_FIXTURES, chain_merge_instance,
+from diskmerge.fixtures import (FORMULA_FIXTURES, chain_formula,
+                                chain_merge_instance,
                                 equalize_relaxed_rise_instance,
                                 relaxed_only_instance)
 from diskmerge.formula import (Clause, MonotoneFormula, Polarity,
@@ -210,21 +211,6 @@ def test_criterion_4_reduction_converse_soundness():
            f"accepted assignments of whole reduced instances decode to "
            f"exactly the satisfying valuations on {len(counts)} formulas "
            f"(accepted, satisfying: {counts}; {elapsed:.1f}s)")
-
-
-def chain_formula(num_variables):
-    """Variable v on segment (10(v-1), 10(v-1)+9); clause k = (k, k+1)
-    for k = 1..V-1, positive on row 1 when k is odd and negative on row
-    -1 when k is even, with legs at columns 10k-4 and 10k+3.  Setting the
-    odd variables true satisfies it."""
-    return _formula(
-        num_variables,
-        [(POS if k % 2 else NEG, (k, k + 1))
-         for k in range(1, num_variables)],
-        tuple((10 * (v - 1), 10 * (v - 1) + 9)
-              for v in range(1, num_variables + 1)),
-        tuple(1 if k % 2 else -1 for k in range(1, num_variables)),
-        tuple((10 * k - 4, 10 * k + 3) for k in range(1, num_variables)))
 
 
 def test_criterion_4_reduction_converse_long_chain():

@@ -14,11 +14,11 @@ import pytest
 import diskmerge
 from diskmerge import cli
 from diskmerge.cli import generate_random, run
-from diskmerge.core import Assignment, FormatError, Instance
+from diskmerge.core import Assignment, Disk, FormatError, Instance, Point
 from diskmerge.fixtures import relaxed_only_instance, single_positive_clause
 from diskmerge.formula import (Clause, MonotoneFormula, Polarity,
                                RectilinearRep, validate_rep)
-from diskmerge.gadgets import GadgetKind, Pose, build_gadget
+from diskmerge.gadgets import GadgetKind, Pose, build_gadget, pose_at
 from diskmerge.serialization import (instance_metadata, parse_formula,
                                      parse_instance, parse_rep,
                                      serialize_assignment, serialize_formula,
@@ -101,6 +101,19 @@ INPUT_ERRORS = [
                  id="copy-absorber"),
     pytest.param(lambda: equalize_radii(Instance(()), Fraction(0)),
                  "target radius must be positive", id="zero-radius"),
+    pytest.param(lambda: equalize_radii(Instance(()), 0.5),
+                 "target radius must be an exact rational, got 0.5",
+                 id="float-radius"),
+    pytest.param(lambda: Instance([Disk(1, Point(0.1, 0), 1)]),
+                 "not an int id with exact values: "
+                 "Disk(id=1, center=Point(x=0.1, y=0), radius=1)",
+                 id="float-coordinate"),
+    pytest.param(lambda: pose_at(0.1, 0),
+                 "not an int matrix and an exact offset: (1, 0, 0, 1), "
+                 "Point(x=0.1, y=0)", id="float-offset"),
+    pytest.param(lambda: Clause(Polarity.POSITIVE, (1.0,)),
+                 "clause literals must be ints, got (1.0,)",
+                 id="float-literal"),
     pytest.param(lambda: Assignment((2,)),
                  "assignment target 2 out of range 1..1",
                  id="target-out-of-range"),
@@ -302,6 +315,15 @@ class TestOtherCommands:
         assert run(["verify", str(inp), phi]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_long_target_is_worded_by_length(self, paths, capsys):
+        inst = write(paths / "in.json", '{"version":1,"disks":['
+                     '{"id":1,"x":"0","y":"0","r":"1"}]}')
+        phi = write(paths / "phi.json",
+                    '{"version":1,"target":{"1":"' + "1" * 5000 + '"}}')
+        assert run(["verify", inst, phi]) == 1
+        assert capsys.readouterr().err == \
+            "error: integer has too many digits (5000 characters)\n"
 
     def test_duplicate_key_is_one_error_line(self, paths, capsys):
         # last-key-wins would read the map (1, 2), which verifies

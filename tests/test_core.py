@@ -1,5 +1,6 @@
 """Verifier and primitive-type behaviour, and the package namespace."""
 
+import ast
 import importlib
 import os
 import pickle
@@ -28,6 +29,18 @@ SUM = DisjointnessMode.SUM
 def mk(*rows):
     return Instance([Disk(i + 1, Point(F(x), F(y)), F(r))
                      for i, (x, y, r) in enumerate(rows)])
+
+
+class IntSub(int):
+    pass
+
+
+class FractionSub(F):
+    pass
+
+
+class StrSub(str):
+    pass
 
 
 rationals = st.fractions(max_denominator=1000)
@@ -101,6 +114,12 @@ class TestRationals:
         with pytest.raises(FormatError):
             parse_rational(bad)
 
+    @pytest.mark.parametrize("bad", [IntSub(3), FractionSub(1, 2),
+                                     StrSub("1/2")])
+    def test_parse_rejects_subclasses(self, bad):
+        with pytest.raises(FormatError, match="not a rational number"):
+            parse_rational(bad)
+
     def test_parse_matches_fraction_str(self):
         for k, value in enumerate(PARSE_CASES):
             assert parse_outcome(parse_rational, value) == \
@@ -129,6 +148,40 @@ class TestInstance:
 
     def test_empty_instance_allowed(self):
         assert mk().n == 0
+
+    @pytest.mark.parametrize("disk", [
+        Disk(1, Point(0.1, 0), 1), Disk(1, Point(0, 0), 1.0),
+        Disk(1, Point(0, True), 1), Disk(1, Point("1/2", 0), 1),
+        Disk(1, Point(0, 0), "1"), Disk(1, Point(FractionSub(1, 2), 0), 1),
+        Disk(1, Point(0, 0), IntSub(1)), Disk(True, Point(0, 0), 1),
+        Disk(1.0, Point(0, 0), 1), Disk(F(1), Point(0, 0), 1),
+        Disk(IntSub(1), Point(0, 0), 1)])
+    def test_rejects_inexact_values(self, disk):
+        # each id an int and each value an int or a Fraction, nothing
+        # that merely converts to one
+        with pytest.raises(FormatError, match="not an int id with exact"):
+            Instance([disk])
+
+    def test_keeps_no_caller_object(self):
+        disks = [Disk(2, Point(F(1, 3), 0), 2),
+                 Disk(1, Point(0, F(-1, 2)), F(1, 2))]
+        inst = Instance(disks)
+        assert inst._disks is None
+        assert inst == Instance(disks[::-1])
+        view = inst.disks
+        assert view == (disks[1], disks[0]) and inst.disks is view
+        assert all(v is not d for v in view for d in disks)
+        assert {type(v) for d in view
+                for v in (d.center.x, d.center.y, d.radius)} == {F}
+
+    def test_reach_walks_again_from_released_pairs(self):
+        inst = mk(*[(x, 0, F(3, 2)) for x in range(12)])
+        first = inst._reach(3)
+        released = inst._walks[3][0]
+        size = len(released)
+        again = inst._reach(3)
+        assert again == first and again is not first
+        assert inst._walks[3][0] is released and len(released) == size
 
     def test_neighbor_sequence_orders_by_distance_then_id(self):
         inst = mk((0, 0, 1), (3, 0, 1), (-3, 0, 1), (1, 0, 1))
@@ -749,6 +802,20 @@ class TestRuleImplication:
         for mode in (MAX, SUM):
             if verify_proper(inst, phi, mode).ok:
                 assert verify_uproper(inst, phi, mode).ok
+
+
+class TestNoFloat:
+    def test_library_source_has_no_float(self):
+        """No float or complex literal and no use of the name ``float``
+        anywhere in the package; Fraction ``/`` is exact and allowed."""
+        found = []
+        for path in sorted(Path(diskmerge.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Constant) and \
+                        isinstance(node.value, (float, complex)) or \
+                        isinstance(node, ast.Name) and node.id == "float":
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
 
 
 class TestPackage:

@@ -1,14 +1,16 @@
 """Monotone formulas, rectilinear drawings, and grid embedding."""
 
 import random
+from fractions import Fraction as F
 
 import pytest
 
 from diskmerge.core import FormatError
-from diskmerge.fixtures import FORMULA_FIXTURES, three_clause_formula
+from diskmerge.fixtures import (FORMULA_FIXTURES, chain_formula,
+                                three_clause_formula, unit_clause_formula)
 from diskmerge.formula import (Clause, MonotoneFormula, Polarity,
                                RectilinearRep, grid_embed, validate_rep)
-from test_reductions import chain_formula
+from diskmerge.reduction import reduce_sat
 
 POS = Polarity.POSITIVE
 NEG = Polarity.NEGATIVE
@@ -105,6 +107,13 @@ class TestFormula:
         with pytest.raises(FormatError):
             Clause(POS, (1, 1))
 
+    @pytest.mark.parametrize("value", [1.0, True, F(1), "1"])
+    def test_literals_and_count_must_be_ints(self, value):
+        with pytest.raises(FormatError, match="literals must be ints"):
+            Clause(POS, (value,))
+        with pytest.raises(FormatError, match="variable count must be"):
+            MonotoneFormula(value, ())
+
     def test_literal_range(self):
         with pytest.raises(FormatError):
             MonotoneFormula(2, (Clause(POS, (3,)),))
@@ -120,6 +129,19 @@ class TestValidateRep:
     def test_fixture_reps_valid(self):
         for fn in FORMULA_FIXTURES.values():
             validate_rep(*fn())
+
+    @pytest.mark.parametrize("segments,rows,legs", [
+        (((0, 0.0),), (1,), ((0.0,),)), (((0, 0.0),), (1,), ((0,),)),
+        (((F(0), 0),), (1,), ((0,),)), (((0, 0),), (1,), ((0.0,),)),
+        (((0, 0),), (1.0,), ((0,),)), (((0, 0),), (True,), ((0,),))])
+    def test_values_must_be_ints(self, segments, rows, legs):
+        # a unit clause drawn with float ends reduced to 15 disks
+        f, _ = unit_clause_formula()
+        rep = RectilinearRep(segments, rows, legs)
+        with pytest.raises(FormatError):
+            validate_rep(f, rep)
+        with pytest.raises(FormatError):
+            reduce_sat(f, rep)
 
     def test_overlapping_variable_segments(self):
         f = MonotoneFormula(2, (Clause(POS, (1, 2)),))
@@ -220,7 +242,8 @@ class TestCrossingReference:
                 cl = clauses[ci]
                 far = rng.randint(cl.literals[1], 20)
                 clauses[ci] = Clause(cl.polarity, (cl.literals[0], far))
-                legs[ci] = (legs[ci][0], 10 * far + rng.randint(3, 5))
+                # between the far variable's own legs, at 10 far - 7 and - 4
+                legs[ci] = (legs[ci][0], 10 * far - rng.randint(5, 6))
                 depth = rng.randint(1, 3)
                 rows[ci] = depth if cl.polarity is POS else -depth
             g = MonotoneFormula(f.num_variables, tuple(clauses))

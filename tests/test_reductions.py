@@ -10,11 +10,10 @@ import pytest
 
 from diskmerge.core import (Assignment, Disk, DisjointnessMode, FormatError,
                             Instance, Point, verify_proper, verify_uproper)
-from diskmerge.fixtures import (FORMULA_FIXTURES,
+from diskmerge.fixtures import (FORMULA_FIXTURES, chain_formula,
                                 equalize_relaxed_rise_instance,
                                 single_negative_clause, three_clause_formula)
-from diskmerge.formula import (Clause, MonotoneFormula, Polarity,
-                               RectilinearRep, grid_embed)
+from diskmerge.formula import grid_embed
 from diskmerge.gadgets import GadgetKind, Pose, build_gadget, pose_at
 from diskmerge.reduction import (ReductionError, assemble,
                                  build_assignment_from_sat,
@@ -25,6 +24,16 @@ from diskmerge.solvers import (enumerate_proper_assignments,
                                solve_exact_mcmd, solve_exact_rmcmd)
 from diskmerge.transforms import (PartitionInput, equalize_radii,
                                   reduce_partition)
+
+
+PARTITION_INEXACT = [
+    ((1.5, 1), F(1, 2)), ((1.0, 1), F(1, 2)), ((F(3, 2), 1), F(1, 2)),
+    ((True, 1), F(1, 2)), (("1", 1), F(1, 2)), ((1, 1), 0.5),
+    ((1, 1), True), ((1, 1), "1/2")]
+# each value of that table that is no exact number, once: 1.5, 1.0,
+# True, "1", 0.5 and "1/2"
+INEXACT = list({(type(v), v): v for values, e in PARTITION_INEXACT
+                for v in (*values, e) if type(v) not in (int, F)}.values())
 
 
 def reference_apply(pose, p):
@@ -94,6 +103,21 @@ class TestPose:
             Pose((1, 1, 0, 1))
         with pytest.raises(FormatError):
             Pose((2, 0, 0, 1))
+
+    @pytest.mark.parametrize("value", INEXACT)
+    def test_rejects_inexact_offset(self, value):
+        with pytest.raises(FormatError):
+            pose_at(value, 0)
+        with pytest.raises(FormatError):
+            pose_at(0, value, (0, -1, 1, 0))
+        with pytest.raises(FormatError):
+            Pose(offset=Point(F(0), value))
+
+    @pytest.mark.parametrize("matrix", [(True, 0, 0, True), (1.0, 0, 0, 1),
+                                        (F(1), 0, 0, 1), (0, -1, 1.0, 0)])
+    def test_rejects_non_int_matrix(self, matrix):
+        with pytest.raises(FormatError):
+            Pose(matrix)
 
     def test_apply_rotation(self):
         pose = pose_at(10, 0, (0, -1, 1, 0))
@@ -312,17 +336,14 @@ def _assemble_or_none(assembler, gadgets):
         return None
 
 
-def chain_formula(num_variables):
-    """Variables on segments (10v, 10v+9) with legs at columns 10v+2 and
-    10v+7; a positive clause (v, v+1) on row 1 for each odd v and a
-    negative one on row -1 for each even v."""
-    clauses = [Clause(Polarity.POSITIVE if v % 2 else Polarity.NEGATIVE,
-                      (v, v + 1)) for v in range(1, num_variables)]
-    rep = RectilinearRep(
-        tuple((10 * v, 10 * v + 9) for v in range(1, num_variables + 1)),
-        tuple(1 if v % 2 else -1 for v in range(1, num_variables)),
-        tuple((10 * v + 7, 10 * v + 12) for v in range(1, num_variables)))
-    return MonotoneFormula(num_variables, tuple(clauses)), rep
+class TestChainFormula:
+    @pytest.mark.parametrize("num_variables,disks",
+                             [(10, 380), (20, 800), (80, 3320)])
+    def test_disk_count(self, num_variables, disks):
+        f, rep = chain_formula(num_variables)
+        assert reduce_sat(f, rep).instance.n == disks
+        odd = {v: v % 2 for v in range(1, num_variables + 1)}
+        assert f.is_satisfied(odd)
 
 
 class TestAssembleReference:
@@ -373,6 +394,16 @@ class TestReduceSat:
         a = build_assignment_from_sat(art, good)
         assert verify_proper(art.instance, a).ok
         assert extract_sat_assignment(art, a) == good
+
+    def test_extract_rejects_unverified_assignment(self):
+        f, rep = FORMULA_FIXTURES["unit_clause"]()
+        art = reduce_sat(f, rep)
+        identity = Assignment(tuple(range(1, art.instance.n + 1)))
+        with pytest.raises(FormatError) as info:
+            extract_sat_assignment(art, identity)
+        assert str(info.value) == (
+            "assignment fails verification: selected disks 1 and 2 are "
+            "not centre-disjoint (max rule)")
 
     def test_metadata_shape(self):
         f, rep = single_negative_clause()
@@ -469,10 +500,7 @@ class TestReducePartition:
         with pytest.raises(FormatError):
             PartitionInput((F(0),))
 
-    @pytest.mark.parametrize("values,e", [
-        ((1.5, 1), F(1, 2)), ((1.0, 1), F(1, 2)), ((F(3, 2), 1), F(1, 2)),
-        ((True, 1), F(1, 2)), (("1", 1), F(1, 2)), ((1, 1), 0.5),
-        ((1, 1), True), ((1, 1), "1/2")])
+    @pytest.mark.parametrize("values,e", PARTITION_INEXACT)
     def test_rejects_inexact_input(self, values, e):
         # a float value would make every coordinate a float; a bool or a
         # non-integral value is not a partition value
@@ -494,6 +522,12 @@ class TestReducePartition:
 
 
 class TestEqualizeRadii:
+    @pytest.mark.parametrize("r", INEXACT)
+    def test_rejects_inexact_radius(self, r):
+        inst = Instance([Disk(1, Point(F(0), F(0)), F(1))])
+        with pytest.raises(FormatError):
+            equalize_radii(inst, r)
+
     def test_splits_into_concentric_unit_disks(self):
         inst = Instance([Disk(1, Point(F(0), F(0)), F(3)),
                          Disk(2, Point(F(9), F(0)), F(1))])
