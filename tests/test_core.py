@@ -339,6 +339,15 @@ class TestAggregateRadius:
         a = Assignment((1, 1, 1))
         assert aggregate_radius(inst, a, 1) == F(7, 2)
 
+    def test_non_idempotent_map(self):
+        # every disk mapped to i counts, whether or not i maps to itself
+        inst = mk((0, 0, 2), (1, 0, 1), (F(5, 2), 0, F(1, 2)))
+        a = Assignment((2, 3, 3))
+        assert [aggregate_radius(inst, a, i) for i in (1, 2, 3)] == \
+            [0, 2, F(3, 2)]
+        assert list(_merge_groups(inst, a).items()) == \
+            [(2, ((1,), 2 * inst._scale)), (3, ((2,), 3 * inst._scale // 2))]
+
 
 # An independent Fraction-only reference for the integer kernel: every
 # rule written out directly on the disks' exact coordinates and radii.

@@ -479,6 +479,111 @@ class TestReductionPinned:
         assert asm.epsilon == HARNESS_EPSILON[kind]
 
 
+def verifier_cases(name, draws=3):
+    """The instance of formula fixture ``name`` and, by label, the target
+    tuples of its assignment for the first satisfying valuation and of
+    seeded mutations of it: a member moved to another selected disk, a
+    member un-merged, a selected disk merged into its nearest neighbour,
+    two members of a group swapped for nearby non-members, so that the
+    member set keeps its size but is no neighbour-sequence prefix, and a
+    group grown by the next non-selected disks of its sequence, so that
+    it stays a prefix but can pass out of reach."""
+    formula, rep = FORMULA_FIXTURES[name]()
+    art = reduce_sat(formula, rep)
+    inst = art.instance
+    values = next(val for bits in product((0, 1),
+                                          repeat=formula.num_variables)
+                  if formula.is_satisfied(
+                      val := {v + 1: b for v, b in enumerate(bits)}))
+    built = build_assignment_from_sat(art, values).target
+    selected = [i for i, t in enumerate(built, 1) if t == i]
+    members = [j for j, t in enumerate(built, 1) if t != j]
+    rng = random.Random(name)
+    cases = {"built": built}
+    for k in range(draws):
+        target = list(built)
+        j = rng.choice(members)
+        target[j - 1] = rng.choice([s for s in selected if s != built[j - 1]])
+        cases[f"moved-{k}"] = tuple(target)
+
+        target = list(built)
+        j = rng.choice(members)
+        target[j - 1] = j
+        cases[f"unmerged-{k}"] = tuple(target)
+
+        target = list(built)
+        s = rng.choice(selected)
+        target[s - 1] = inst.neighbor_sequence(s)[0]
+        cases[f"nearest-{k}"] = tuple(target)
+
+        target = list(built)
+        s = rng.choice([s for s in selected if s in built[:s - 1] + built[s:]])
+        group = [j for j in members if built[j - 1] == s]
+        seq = inst.neighbor_sequence(s)
+        outside = [j for j in seq[:2 * len(group) + 4]
+                   if j not in group and built[j - 1] != j]
+        for j, k2 in zip(rng.sample(group, min(2, len(group))),
+                         rng.sample(outside, min(2, len(outside)))):
+            target[j - 1], target[k2 - 1] = built[k2 - 1], s
+        cases[f"swapped-{k}"] = tuple(target)
+
+        target = list(built)
+        s = rng.choice(selected)
+        seq = inst.neighbor_sequence(s)
+        m = sum(t == s for t in built) - 1
+        for j in seq[m:m + 3]:
+            if built[j - 1] == j:
+                break
+            target[j - 1] = s
+        cases[f"grown-{k}"] = tuple(target)
+    return inst, cases
+
+
+# sha256 of every verdict (ok, cardinality, violations) of verify_proper
+# and verify_uproper, under MAX and SUM, on verifier_cases(name), recorded
+# before the strict verifier read each group's walk once
+VERIFIER_PINS = {
+    "mixed_polarity": "b26819bac94919744a4b7d084b63fd6a"
+        "af4bfe72b15240e4a914311643f0b601",
+    "negative_unit_clause": "df57fbfde3b196cbcfe22e5c63dd1253"
+        "6a771a1693dd6ae035772e32194527ed",
+    "nested_negative": "d3d6ce24c5b7187ec2e9347c37cbabbb"
+        "ed3dc4a9d4229c5a02173c9226573627",
+    "nested_positive": "7e51ceb5dd317b3785e87af1c2586b83"
+        "c51d5e4a8ab965008332b4713c0146ab",
+    "single_negative": "5ee87ea9fe64b26fe706ed99f7dc3086"
+        "2b2c98e85d037044feedeb8276912077",
+    "single_positive": "721d6ac1741c998e3e695bb118f54ab9"
+        "32bea9e57e69acf257761a497371273a",
+    "three_clause": "741af9b17627c4968ef23ecd1a676ceb"
+        "e415233ee0b4d25492c89bf46b55ae02",
+    "unit_clause": "b70a80a148cd1ad4ab009d7374c18ae4"
+        "16ef79f7bd198880ebfe125d8aad0cb0",
+    "variables_only": "85b929297b28683de42ba52c90c181f7"
+        "f58c9caea3cdc985740527953499083b",
+}
+
+
+class TestVerifierPinned:
+    def test_every_fixture_pinned(self):
+        assert set(VERIFIER_PINS) == set(FORMULA_FIXTURES)
+
+    @pytest.mark.parametrize("name", sorted(VERIFIER_PINS))
+    def test_verdicts(self, name):
+        inst, cases = verifier_cases(name)
+        verdicts = []
+        for label, target in cases.items():
+            for verify in (verify_proper, verify_uproper):
+                for mode in DisjointnessMode:
+                    report = verify(inst, Assignment(target), mode)
+                    verdicts.append((label, verify.__name__, mode.value,
+                                     report.ok, report.cardinality,
+                                     report.violations))
+        assert cases["built"] and verdicts[0][3]
+        digest = hashlib.sha256(repr(verdicts).encode()).hexdigest()
+        assert digest == VERIFIER_PINS[name]
+
+
 class TestReducePartition:
     def test_construction_coordinates(self):
         inst = reduce_partition(PartitionInput((F(1), F(1))))
