@@ -18,21 +18,23 @@ rule and, with ``strict=False``, the relaxed one (the bound the solvers'
 search prunes with), :func:`centre_disjoint` decides the MAX/SUM bound,
 ``_close_pairs`` finds the pairs that can fail it under given aggregates
 and ``_relaxed_walk`` checks the relaxed rule on a given member set.
-The verifiers here and the solvers in :mod:`diskmerge.solvers` all call
-these; :meth:`Instance.reach` is the strict walk's Fraction view.
+The verifiers here and the solvers in :mod:`diskmerge.solvers` call
+these; :meth:`Instance.reach` is the strict walk's Fraction view.  The
+one exception is :func:`verify_proper`, which checks the strict rule
+along a prefix it has already read rather than walking the reach again.
 
 Neighbour order is lazy.  One resumable sweep per disk
 (``Instance._walk``) yields the other disks in the exact ``(distance,
 id)`` order of :meth:`Instance.neighbor_sequence` and computes only as far
-as its caller reads, so the reach walks, the prefix check of
-:func:`verify_proper` and the solvers stop at the first neighbour out of
-reach instead of sorting all ``n`` disks for every disk.  A reader asks
-for a count of neighbours or for every neighbour below a squared
-distance, in one call: a reach walk asks once per growth of its
-aggregate, not once per neighbour.  Disjointness is found the same way
-in both verifiers and in the exact search (``_close_pairs``): each disk
-reads its walk, in one call, only as far as a pair could fail, instead
-of testing all pairs.
+as its caller reads, so the reach walks and the solvers stop at the first
+neighbour out of reach, and :func:`verify_proper` reads each group's
+prefix once, one pair per member, instead of sorting all ``n`` disks for
+every disk.  A reader asks for a count of neighbours or for every
+neighbour below a squared distance, in one call: a reach walk asks once
+per growth of its aggregate, not once per neighbour.  Disjointness is
+found the same way in both verifiers and in the exact search
+(``_close_pairs``): each disk reads its walk, in one call, only as far as
+a pair could fail, instead of testing all pairs.
 
 An exact number is an ``int`` or a :class:`fractions.Fraction`
 (``type(v) in _EXACT``, so not a bool, a float or a subclass), and every
@@ -161,8 +163,8 @@ class Instance:
     Neighbours come from one lazy walk per disk (:meth:`_walk`) in the
     exact ``(d2, id)`` order of :meth:`neighbor_sequence`.  It computes
     only as far as a caller reads, so :meth:`_reach` and the prefix
-    readers in the verifiers and solvers stop at the first neighbour out
-    of reach instead of sorting all ``n`` disks.  Besides :attr:`disks`,
+    readers in the verifiers and solvers read no farther than they need
+    instead of sorting all ``n`` disks.  Besides :attr:`disks`,
     the walks are all an instance adds to its ints.  They keep their state
     in plain lists and ints, so an instance pickles mid-walk.
     """
@@ -207,10 +209,13 @@ class Instance:
         want = list(range(1, n + 1))
         if ids != want:
             order = sorted(range(n), key=ids.__getitem__)
-            got = [ids[k] for k in order]
-            if got != want:
-                raise FormatError(
-                    f"disk ids must be exactly 1..n, got {got}")
+            if [ids[k] for k in order] != want:
+                # n ids that are not 1..n miss one of them; name the least,
+                # so that the message stays short on any document
+                present = set(ids)
+                missing = next(i for i in want if i not in present)
+                raise FormatError(f"disk ids must be exactly 1..n, but id "
+                                  f"{missing} is missing")
             terms = tuple([col[k] for k in order] for col in terms)
         # each column is scaled in id order, so a walk reads its ints in
         # the order they were made
@@ -456,15 +461,21 @@ def aggregate_radius(instance: Instance, assignment: Assignment, i: int) -> Frac
 
 def _merge_groups(instance: Instance, assignment: Assignment,
                   ) -> dict[int, tuple[tuple[int, ...], int]]:
-    """Map each selected disk, ascending, to its members (the other disks
-    merged into it, ascending) and its aggregate radius in units of
-    ``1/L``, from one pass over an idempotent ``assignment``."""
-    groups: dict[int, list[int]] = {}
-    for j, t in enumerate(assignment.target, start=1):
-        groups.setdefault(t, []).append(j)
+    """Map each disk that some disk maps to, ascending, to its members
+    (the other disks mapped to it, ascending) and its aggregate radius in
+    units of ``1/L``, from one pass over ``assignment``.  For an
+    idempotent map these are the selected disks and their groups."""
     r = instance._r
-    return {t: (tuple(j for j in group if j != t), sum(r[j] for j in group))
-            for t, group in sorted(groups.items())}
+    groups: dict[int, list] = {}  # t -> [members, aggregate]
+    for j, t in enumerate(assignment.target, start=1):
+        group = groups.get(t)
+        if group is None:
+            groups[t] = group = [[], 0]
+        if t != j:
+            group[0].append(j)
+        group[1] += r[j]
+    return {t: (tuple(members), a)
+            for t, (members, a) in sorted(groups.items())}
 
 
 def _relaxed_walk(instance: Instance, i: int, members: Iterable[int],
@@ -500,10 +511,11 @@ def _check_shape(instance: Instance, assignment: Assignment,
         )
         return False
     ok = True
-    for i in range(1, instance.n + 1):
-        t = assignment(i)
-        if assignment(t) != t:
-            violations.append(f"not idempotent: {i} -> {t} -> {assignment(t)}")
+    target = assignment.target
+    for i, t in enumerate(target, start=1):
+        u = target[t - 1]
+        if u != t:
+            violations.append(f"not idempotent: {i} -> {t} -> {u}")
             ok = False
     return ok
 
@@ -555,25 +567,36 @@ def verify_proper(instance: Instance, assignment: Assignment,
     a prefix of its neighbour sequence; walking that prefix in order, each
     centre must lie strictly inside the aggregate disk accumulated so far;
     and all selected pairs must be centre-disjoint under ``mode``.
-    Disjointness reads each walk out to the aggregate (twice it under
-    SUM); under MAX the reach walk has already released those neighbours.
+
+    Each group of ``m`` members reads the first ``m`` pairs of its walk
+    once: their ids must be the members, and the first pair along them
+    not strictly inside the aggregate so far is the one reported out of
+    reach.  Disjointness then resumes each walk out to the aggregate
+    (twice it under SUM).
     """
     violations: list[str] = []
     if not _check_shape(instance, assignment, violations):
         return VerificationReport(False, 0, violations)
 
     groups = _merge_groups(instance, assignment)
+    r = instance._r
     for i, (members, _) in groups.items():
-        seq = instance._neighbor_prefix(i, len(members))
-        if set(seq) != set(members):
+        m = len(members)
+        if not m:
+            continue
+        prefix = instance._walk(i, m)[:m]
+        if {j for _, j in prefix} != set(members):
             violations.append(
                 f"disks merged into {i} are not a neighbour-sequence prefix"
             )
             continue
-        feasible = len(instance._reach(i))
-        if len(members) >= feasible:
-            violations.append(f"disk {seq[feasible - 1]} is out of reach "
-                              f"of disk {i} when merged")
+        total = r[i]
+        for d2, j in prefix:
+            if d2 >= total * total:
+                violations.append(
+                    f"disk {j} is out of reach of disk {i} when merged")
+                break
+            total += r[j]
 
     _check_disjoint(instance, groups, mode, violations)
     return VerificationReport(not violations, len(groups), violations)

@@ -59,10 +59,15 @@ def render_svg(instance: Instance,
         min_y = min(ys[i] - r for i, r in spans) - margin
         max_y = max(ys[i] + r for i, r in spans) + margin
 
-    def length(v: int) -> str:
-        return _fmt(v * _SCALE, L)
+    text: dict[int, str] = {}  # each distinct scaled length formatted once
 
-    # each centre is formatted once, for its line ends, circles and
+    def length(v: int) -> str:
+        out = text.get(v)
+        if out is None:
+            out = text[v] = _fmt(v * _SCALE, L)
+        return out
+
+    # each centre is looked up once, for its line ends, circles and
     # label; index 0 is unused
     px = [""] + [length(xs[i] - min_x) for i in ids]
     py = [""] + [length(max_y - ys[i]) for i in ids]  # flip: +y is up

@@ -325,6 +325,16 @@ class TestOtherCommands:
         assert capsys.readouterr().err == \
             "error: integer has too many digits (5000 characters)\n"
 
+    def test_bad_id_set_is_one_short_error_line(self, paths, capsys):
+        # ids 2..10,001: the message names the missing id, not every id
+        inst = write(paths / "in.json", json.dumps({"version": 1, "disks": [
+            {"id": i, "x": str(i), "y": "0", "r": "1/3"}
+            for i in range(2, 10_002)]}))
+        assert run(["solve", "--collinear", inst]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: disk ids must be exactly 1..n, but id 1 is " \
+            "missing\n" and len(err.encode()) < 200
+
     def test_duplicate_key_is_one_error_line(self, paths, capsys):
         # last-key-wins would read the map (1, 2), which verifies
         inst = write(paths / "in.json", '{"version":1,"disks":['

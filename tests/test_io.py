@@ -240,9 +240,9 @@ class TestParseReference:
         assert len(ok) == 6
 
     @pytest.mark.parametrize("order, message", [
-        ((4, 1, 2), "disk ids must be exactly 1..n, got [1, 2, 4]"),
-        ((3, 1, 3), "disk ids must be exactly 1..n, got [1, 3, 3]"),
-        ((2, 3, 4), "disk ids must be exactly 1..n, got [2, 3, 4]"),
+        ((4, 1, 2), "disk ids must be exactly 1..n, but id 3 is missing"),
+        ((3, 1, 3), "disk ids must be exactly 1..n, but id 2 is missing"),
+        ((2, 3, 4), "disk ids must be exactly 1..n, but id 1 is missing"),
     ])
     def test_id_message_lists_sorted_ids(self, order, message):
         text = _doc(*((i, str(i), "0", "1") for i in order))
