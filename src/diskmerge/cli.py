@@ -6,8 +6,12 @@ input errors, 2 when ``verify`` rejects an assignment.  Results go to
 stdout as JSON; diagnostics go to stderr.
 
 ``_COMMANDS`` maps each command to its help and to the function that adds
-its arguments; ``run`` builds only the parser of the command it runs,
-because building every command's parser took longer than a small command.
+its arguments (``reduce`` to a table of its reductions).  A command line
+that names a command, and for ``reduce`` its reduction, is parsed by that
+command's parser alone, built as the full parser would build it; any
+other line (no arguments, ``-h``, an unknown command or reduction) goes
+to the full parser, so help and usage errors read as with every command.
+Building parsers took longer than a small command.
 """
 
 from __future__ import annotations
@@ -213,21 +217,21 @@ def _add_verify(p):
     p.set_defaults(func=_cmd_verify)
 
 
-def _add_reduce(p):
-    rsub = p.add_subparsers(dest="reduction", required=True)
-    rp = rsub.add_parser("sat", help="planar monotone 3-SAT to disks")
-    rp.add_argument("formula")
-    rp.add_argument("rep")
-    _add_output(rp)
-    rp.set_defaults(func=_cmd_reduce_sat)
-    rp = rsub.add_parser("partition", help="number partition to disks")
-    rp.add_argument("--values", required=True,
-                    help="comma-separated positive integers")
-    rp.add_argument("--e", default="1/2",
-                    help="gap parameter, 0 < e < 1; odd value totals "
-                         "need e < 1/2")
-    _add_output(rp)
-    rp.set_defaults(func=_cmd_reduce_partition)
+def _add_reduce_sat(p):
+    p.add_argument("formula")
+    p.add_argument("rep")
+    _add_output(p)
+    p.set_defaults(func=_cmd_reduce_sat)
+
+
+def _add_reduce_partition(p):
+    p.add_argument("--values", required=True,
+                   help="comma-separated positive integers")
+    p.add_argument("--e", default="1/2",
+                   help="gap parameter, 0 < e < 1; odd value totals "
+                        "need e < 1/2")
+    _add_output(p)
+    p.set_defaults(func=_cmd_reduce_partition)
 
 
 def _add_equalize(p):
@@ -254,35 +258,66 @@ def _add_gen(p):
     p.set_defaults(func=_cmd_gen)
 
 
-# command name -> (help, function that adds its arguments), in help order
+# command name -> (help, function that adds its arguments), in help order;
+# reduce names a table of its reductions in place of the function
 _COMMANDS = {
     "solve": ("find a maximum assignment", _add_solve),
     "verify": ("check an assignment", _add_verify),
-    "reduce": ("hardness-reduction generators", _add_reduce),
+    "reduce": ("hardness-reduction generators", {
+        "sat": ("planar monotone 3-SAT to disks", _add_reduce_sat),
+        "partition": ("number partition to disks", _add_reduce_partition),
+    }),
     "equalize": ("rewrite to equal radii", _add_equalize),
     "render": ("draw an instance as SVG", _add_render),
     "gen": ("generate a random instance", _add_gen),
 }
 
+# the Namespace attribute that names the command at each level
+_DESTS = ("command", "reduction")
 
-def _build_parser(argv) -> _Parser:
-    """The parser for ``argv``: with only the command that ``argv[0]``
-    names, or with every command when it names none, so that help and
-    usage errors read as they would with all of them."""
+
+def _add_commands(parser, table, level=0) -> None:
+    sub = parser.add_subparsers(dest=_DESTS[level], required=True)
+    for name, (help_text, add_arguments) in table.items():
+        p = sub.add_parser(name, help=help_text)
+        if isinstance(add_arguments, dict):
+            _add_commands(p, add_arguments, level + 1)
+        else:
+            add_arguments(p)
+
+
+def _build_parser() -> _Parser:
+    """The full parser, with every command and reduction."""
     parser = _Parser(prog="diskmerge",
                      description="centre-disjoint disk merging toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    names = [argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS
-    for name in names:
-        help_text, add_arguments = _COMMANDS[name]
-        add_arguments(sub.add_parser(name, help=help_text))
+    _add_commands(parser, _COMMANDS)
     return parser
 
 
+def _parser_for(argv):
+    """``(parser, k)``: ``parser`` parses ``argv[k:]``.  When ``argv[:k]``
+    names a command (``reduce`` with its reduction) it is that command's
+    parser alone, built as the full parser builds it; otherwise it is the
+    full parser and ``k`` is 0."""
+    table, names = _COMMANDS, []
+    for word in argv[:len(_DESTS)]:
+        if word not in table:
+            break
+        names.append(word)
+        add_arguments = table[word][1]
+        if not isinstance(add_arguments, dict):
+            parser = _Parser(prog=" ".join(["diskmerge", *names]))
+            parser.set_defaults(**dict(zip(_DESTS, names)))
+            add_arguments(parser)
+            return parser, len(names)
+        table = add_arguments
+    return _build_parser(), 0
+
+
 def run(argv) -> int:
-    parser = _build_parser(argv)
+    parser, k = _parser_for(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv[k:])
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

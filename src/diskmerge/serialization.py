@@ -51,7 +51,7 @@ def _require(doc: Any, kind: str) -> dict:
     if not isinstance(doc, dict):
         raise FormatError(f"{kind} document must be an object")
     version = doc.get("version")
-    if version != DOCUMENT_VERSION:
+    if type(version) is not int or version != DOCUMENT_VERSION:
         raise FormatError(f"unsupported {kind} document version {version!r}")
     return doc
 

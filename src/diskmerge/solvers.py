@@ -89,14 +89,17 @@ def _search(instance: Instance, mode: DisjointnessMode, relaxed: bool,
     s)``.  They are the ``_close_pairs`` of the last aggregates ``U`` of
     the walks under the rule, which bound every aggregate a disk reaches
     in the search, so a pair outside them is centre-disjoint at every
-    node.  The check loops over the selected disks and looks each one up
-    in the row: it calls no ``_d2``, and on a dense near-clique, whose
-    rows hold almost every disk, it tests no more pairs than a check of
-    all of them.  Building the rows reads each disk's walk out to its
-    ``U`` (``2U`` under SUM).  A disk whose ``U`` spans the instance,
-    such as an anchor of ``reduce_partition`` under the relaxed rule,
-    reads its whole walk and its row holds every disk; when most disks
-    are like that, the rows hold O(n²) pairs.
+    node.  The check loops over the shorter of the row and the selected
+    disks: the row's disks with a nonzero ``agg``, which are exactly the
+    selected ones (radii are positive and backtracking restores ``agg``
+    to 0), or each selected disk looked up in the row.  It calls no
+    ``_d2``, and on a dense near-clique, whose rows hold almost every
+    disk, it tests no more pairs than a check of all of them.  Building
+    the rows reads each disk's walk out to its ``U`` (``2U`` under SUM).
+    A disk whose ``U`` spans the instance, such as an anchor of
+    ``reduce_partition`` under the relaxed rule, reads its whole walk
+    and its row holds every disk; when most disks are like that, the
+    rows hold O(n²) pairs.
     """
     n, r = instance.n, instance._r
     # candidate targets of each disk i as (t, k), ascending in t: i itself
@@ -126,6 +129,12 @@ def _search(instance: Instance, mode: DisjointnessMode, relaxed: bool,
     def clashes(t: int, grown: int) -> bool:
         # t at aggregate grown fails centre-disjointness with a selected disk
         row = rows[t]
+        if len(row) < len(selected):
+            for s, d2 in row.items():
+                a = agg[s]
+                if a and not centre_disjoint(d2, grown, a, mode):
+                    return True
+            return False
         for s in selected:
             d2 = row.get(s)
             if d2 is not None and not centre_disjoint(d2, grown, agg[s], mode):

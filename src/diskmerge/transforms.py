@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .core import _EXACT, Disk, FormatError, Instance, Point
 
@@ -44,17 +45,34 @@ def equalize_radii(instance: Instance, r: Fraction) -> EqualizedInstance:
                           f"got {r!r}")
     if r <= 0:
         raise FormatError("target radius must be positive")
-    disks: list[Disk] = []
+    # disk i of radius R_i / L is k copies of radius p/q when
+    # R_i * q = k * L * p; centres go to the copies in lowest terms
+    p, q = r.numerator, r.denominator
+    L = instance._scale
+    step = L * p
+    xn: list[int] = []
+    xd: list[int] = []
+    yn: list[int] = []
+    yd: list[int] = []
     origin: dict[int, int] = {}
-    for d in instance.disks:
-        k = d.radius / r
-        if k.denominator != 1:
-            raise FormatError(
-                f"disk {d.id} radius {d.radius} is not a multiple of {r}")
-        for _ in range(k.numerator):
-            disks.append(Disk(len(disks) + 1, d.center, r))
-            origin[len(disks)] = d.id
-    return EqualizedInstance(Instance(disks), r, origin)
+    for i in range(1, instance.n + 1):
+        k, rest = divmod(instance._r[i] * q, step)
+        if rest:
+            raise FormatError(f"disk {i} radius {Fraction(instance._r[i], L)}"
+                              f" is not a multiple of {r}")
+        x, y = instance._x[i], instance._y[i]
+        gx, gy = gcd(x, L), gcd(y, L)
+        xn += [x // gx] * k
+        xd += [L // gx] * k
+        yn += [y // gy] * k
+        yd += [L // gy] * k
+        for _ in range(k):
+            origin[len(origin) + 1] = i
+    m = len(origin)
+    ids = list(range(1, m + 1))
+    return EqualizedInstance(
+        Instance._from_columns(ids, xn, xd, yn, yd, [p] * m, [q] * m),
+        r, origin)
 
 
 @dataclass(frozen=True)

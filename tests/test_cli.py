@@ -304,6 +304,8 @@ class TestOtherCommands:
                      b'","y":"0","r":"1"}]}', id="5000-digit-rational"),
         pytest.param(b'{"version":1,"disks":[{"id":' + b"1" * 5000 +
                      b',"x":"0","y":"0","r":"1"}]}', id="5000-digit-json-int"),
+        pytest.param(b'{"version":true,"disks":[{"id":1,"x":"0","y":"0",'
+                     b'"r":"1"}]}', id="bool-version"),
         pytest.param('{"version":1,"disks":[{"id":1,"x":"1\\n","y":"\u0663",'
                      '"r":"1"}]}'.encode(), id="non-ascii-numerals"),
     ])
@@ -482,6 +484,11 @@ PARSER_CASES = [[*path, "--help"] for path in HELP_PATHS] + [
     ["equalize", "--r", "1/2", "in.json"],
     ["render", "in.json", "phi.json", "--output", "o.svg"],
     ["gen", "--n", "3", "--profile", "planar", "--seed", "4"],
+    # later words that look like commands or flags
+    ["solve", "verify"], ["gen", "--n", "3", "gen"],
+    ["reduce", "--help", "sat"],
+    ["reduce", "partition", "--values", "1", "sat"],
+    ["reduce", "sat", "--", "f.json", "r.json"], ["verify", "-h", "x"],
 ]
 
 
@@ -516,13 +523,17 @@ class TestParser:
         code, out, err, called = outcomes[0]
         assert out or err or called
 
-    # a command builds the top parser and its own; reduce keeps both of
-    # its nested ones; help and errors that name no command build all 9
+    # a command line that names a command (and reduce's reduction)
+    # builds that command's parser alone; help and errors that name no
+    # whole command build all 9
     @pytest.mark.parametrize("argv, code, built", [
-        pytest.param(["gen", "--n", "2"], 0, 2, id="gen"),
-        pytest.param(["solve", "--collinear", "INSTANCE"], 0, 2, id="solve"),
-        pytest.param(["reduce", "partition", "--values", "1,1"], 0, 4,
+        pytest.param(["gen", "--n", "2"], 0, 1, id="gen"),
+        pytest.param(["solve", "--collinear", "INSTANCE"], 0, 1, id="solve"),
+        pytest.param(["reduce", "partition", "--values", "1,1"], 0, 1,
                      id="reduce-partition"),
+        pytest.param(["reduce", "sat", "--help"], 0, 1, id="reduce-sat"),
+        pytest.param(["reduce", "--help"], 0, 9, id="reduce-help"),
+        pytest.param(["reduce", "bogus"], 1, 9, id="reduce-unknown"),
         pytest.param(["--help"], 0, 9, id="help"),
         pytest.param(["bogus"], 1, 9, id="unknown-command"),
         pytest.param([], 1, 9, id="no-arguments"),

@@ -43,6 +43,8 @@ MALFORMED_INSTANCES = [
     "not json",
     '{"disks":[]}',                                # missing version
     '{"version":2,"disks":[]}',                    # wrong version
+    '{"version":true,"disks":[]}',                 # equal to 1, not 1
+    '{"version":1.0,"disks":[]}',
     '{"version":1}',                               # missing disks
     '{"version":1,"disks":[{"id":1,"x":"0","y":"0","r":"0"}]}',
     '{"version":1,"disks":[{"id":2,"x":"0","y":"0","r":"1"}]}',
@@ -409,6 +411,8 @@ class TestAssignmentDocuments:
         '{"version":1,"target":{"1":"1","01":"1"}}',
         '{"version":1,"target":{"1":"1","2":"1","2":"2"}}',
         '{"version":1,"version":1,"target":{"1":"1"}}',
+        '{"version":true,"target":{"1":"1"}}',
+        '{"version":1.0,"target":{"1":"1"}}',
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(FormatError):
