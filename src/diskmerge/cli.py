@@ -76,6 +76,9 @@ def _cmd_solve(args) -> int:
             result = solver(instance, mode, max_n=args.max_n)
     except ValueError as exc:  # not collinear, or over --max-n
         raise FormatError(str(exc)) from exc
+    except RecursionError as exc:  # the exact search nests once per disk
+        raise FormatError(f"instance size {instance.n} exceeds the exact "
+                          f"search's recursion depth") from exc
     summary = {"status": result.status, "cardinality": result.cardinality}
     if result.assignment is not None:
         doc = serialize_assignment(result.assignment)
@@ -202,7 +205,8 @@ def _add_solve(p):
     p.add_argument("--relaxed", action="store_true",
                    help="relaxed merge rules (with --exact)")
     p.add_argument("--max-n", type=int, default=MAX_N,
-                   help="refuse exhaustive search above this size")
+                   help="refuse exhaustive search above this size; about "
+                        "1000 disks exceed its recursion depth")
     _add_mode(p)
     p.add_argument("instance")
     _add_output(p)
@@ -235,7 +239,8 @@ def _add_reduce_partition(p):
 
 
 def _add_equalize(p):
-    p.add_argument("--r", required=True, help="common radius")
+    p.add_argument("--r", required=True,
+                   help="common radius; at most 1000000 disks come out")
     p.add_argument("instance")
     _add_output(p)
     p.set_defaults(func=_cmd_equalize)

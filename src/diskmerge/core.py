@@ -15,13 +15,12 @@ into a selected disk.  Two verifiers are provided:
 
 Each rule is written once: ``Instance._reach`` walks the strict reach
 rule and, with ``strict=False``, the relaxed one (the bound the solvers'
-search prunes with), :func:`centre_disjoint` decides the MAX/SUM bound,
-``_close_pairs`` finds the pairs that can fail it under given aggregates
-and ``_relaxed_walk`` checks the relaxed rule on a given member set.
-The verifiers here and the solvers in :mod:`diskmerge.solvers` call
-these; :meth:`Instance.reach` is the strict walk's Fraction view.  The
-one exception is :func:`verify_proper`, which checks the strict rule
-along a prefix it has already read rather than walking the reach again.
+search prunes with), over the neighbour walk or over a given ``pairs``
+list (a merge group's members), :func:`centre_disjoint` decides the
+MAX/SUM bound and ``_close_pairs`` finds the pairs that can fail it
+under given aggregates.  Both verifiers are one function, ``_verify``;
+it and the solvers in :mod:`diskmerge.solvers` call these, and
+:meth:`Instance.reach` is the strict walk's Fraction view.
 
 Neighbour order is lazy.  One resumable sweep per disk
 (``Instance._walk``) yields the other disks in the exact ``(distance,
@@ -349,7 +348,8 @@ class Instance:
         """Other disks ordered by increasing centre distance; ties by id."""
         return self._neighbor_prefix(i, self.n - 1)
 
-    def _reach(self, i: int, strict: bool = True) -> tuple[int, ...]:
+    def _reach(self, i: int, strict: bool = True,
+               pairs: Optional[list] = None) -> tuple[int, ...]:
         """:meth:`reach` in units of ``1/L``.
 
         With ``strict=False``, the same walk under the relaxed rule: it
@@ -364,13 +364,19 @@ class Instance:
         The walk ends at a neighbour beyond the aggregate, or after a
         round that releases nothing new.  Nothing is kept: a second call
         reads again the pairs the first one had released.
+
+        Given ``pairs``, a list of ascending ``(_d2(i, j), j)``, it walks
+        them in place of the neighbours: it takes ``len(result) - 1`` of
+        them, and the next one, if any, is the first out of reach.
         """
         r = self._r
         total = r[i]
         walk = [total]
         slack = 0 if strict else 1  # relaxed: d2 <= total**2
         limit = total * total + slack
-        pairs = self._walk(i, 0, limit)
+        grows = pairs is None
+        if grows:
+            pairs = self._walk(i, 0, limit)
         size = len(pairs)
         k = 0
         while k < size:
@@ -381,7 +387,7 @@ class Instance:
             walk.append(total)
             limit = total * total + slack
             k += 1
-            if k == size:  # next round: extends pairs
+            if k == size and grows:  # next round: extends pairs
                 self._walk(i, 0, limit)
                 size = len(pairs)
         return tuple(walk)
@@ -417,14 +423,16 @@ class Assignment:
     def __init__(self, target: Mapping[int, int] | Sequence[int]):
         if isinstance(target, Mapping):
             n = len(target)
-            if sorted(target) != list(range(1, n + 1)):
+            # ints by type, as ids are: True, 1.0 and Fraction(1) equal 1
+            if any(type(k) is not int for k in target) or \
+                    sorted(target) != list(range(1, n + 1)):
                 raise FormatError("assignment keys must be exactly 1..n")
             tup = tuple(target[i] for i in range(1, n + 1))
         else:
             tup = tuple(target)
             n = len(tup)
         for t in tup:
-            if not isinstance(t, int) or isinstance(t, bool):
+            if type(t) is not int:  # not a bool or an IntEnum member
                 raise FormatError(f"assignment target {t!r} is not an int")
             if not 1 <= t <= n:
                 raise FormatError(f"assignment target {t!r} out of range 1..{n}")
@@ -478,21 +486,6 @@ def _merge_groups(instance: Instance, assignment: Assignment,
             for t, (members, a) in sorted(groups.items())}
 
 
-def _relaxed_walk(instance: Instance, i: int, members: Iterable[int],
-                  ) -> tuple[int, Optional[int]]:
-    """Walk ``members`` into disk ``i`` in distance order (ties by id) under
-    the relaxed reach rule.  Returns the aggregate radius reached, in units
-    of ``1/L``, and the first member out of reach, or ``None`` when every
-    member is reached."""
-    r = instance._r
-    total = r[i]
-    for d2, j in sorted((instance._d2(i, j), j) for j in members):
-        if d2 > total * total:
-            return total, j
-        total += r[j]
-    return total, None
-
-
 @dataclass
 class VerificationReport:
     ok: bool
@@ -501,23 +494,6 @@ class VerificationReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _check_shape(instance: Instance, assignment: Assignment,
-                 violations: list[str]) -> bool:
-    if assignment.n != instance.n:
-        violations.append(
-            f"assignment covers {assignment.n} disks, instance has {instance.n}"
-        )
-        return False
-    ok = True
-    target = assignment.target
-    for i, t in enumerate(target, start=1):
-        u = target[t - 1]
-        if u != t:
-            violations.append(f"not idempotent: {i} -> {t} -> {u}")
-            ok = False
-    return ok
 
 
 def _close_pairs(instance: Instance, aggregates: Mapping[int, int],
@@ -558,6 +534,54 @@ def _check_disjoint(instance: Instance,
                           f"centre-disjoint ({mode.value} rule)")
 
 
+def _verify(instance: Instance, assignment: Assignment,
+            mode: DisjointnessMode, strict: bool) -> tuple[
+                VerificationReport, dict[int, tuple[tuple[int, ...], int]]]:
+    """The report of :func:`verify_proper` (``strict``) or
+    :func:`verify_uproper`, and the merge groups it checked: empty when
+    the assignment is not an idempotent map of the disks.
+
+    ``Instance._reach`` walks each group of ``m`` members over ``m``
+    pairs: strict, the first ``m`` of the group's walk, read once, whose
+    ids must be the members; relaxed, the members in ``(d2, id)`` order.
+    The first pair it does not take is out of reach.  Disjointness then
+    resumes each walk out to the aggregate (twice it under SUM).
+    """
+    target = assignment.target
+    if assignment.n != instance.n:
+        violations = [f"assignment covers {assignment.n} disks, "
+                      f"instance has {instance.n}"]
+    else:
+        violations = [f"not idempotent: {i} -> {t} -> {target[t - 1]}"
+                      for i, t in enumerate(target, start=1)
+                      if target[t - 1] != t]
+    if violations:
+        return VerificationReport(False, 0, violations), {}
+
+    groups = _merge_groups(instance, assignment)
+    suffix = "" if strict else " (relaxed)"
+    for i, (members, _) in groups.items():
+        m = len(members)
+        if not m:
+            continue
+        if strict:
+            pairs = instance._walk(i, m)[:m]
+            if {j for _, j in pairs} != set(members):
+                violations.append(
+                    f"disks merged into {i} are not a neighbour-sequence prefix"
+                )
+                continue
+        else:
+            pairs = sorted((instance._d2(i, j), j) for j in members)
+        k = len(instance._reach(i, strict, pairs)) - 1
+        if k < m:
+            violations.append(f"disk {pairs[k][1]} is out of reach of disk "
+                              f"{i} when merged{suffix}")
+
+    _check_disjoint(instance, groups, mode, violations)
+    return VerificationReport(not violations, len(groups), violations), groups
+
+
 def verify_proper(instance: Instance, assignment: Assignment,
                   mode: DisjointnessMode = DisjointnessMode.MAX,
                   ) -> VerificationReport:
@@ -567,39 +591,8 @@ def verify_proper(instance: Instance, assignment: Assignment,
     a prefix of its neighbour sequence; walking that prefix in order, each
     centre must lie strictly inside the aggregate disk accumulated so far;
     and all selected pairs must be centre-disjoint under ``mode``.
-
-    Each group of ``m`` members reads the first ``m`` pairs of its walk
-    once: their ids must be the members, and the first pair along them
-    not strictly inside the aggregate so far is the one reported out of
-    reach.  Disjointness then resumes each walk out to the aggregate
-    (twice it under SUM).
     """
-    violations: list[str] = []
-    if not _check_shape(instance, assignment, violations):
-        return VerificationReport(False, 0, violations)
-
-    groups = _merge_groups(instance, assignment)
-    r = instance._r
-    for i, (members, _) in groups.items():
-        m = len(members)
-        if not m:
-            continue
-        prefix = instance._walk(i, m)[:m]
-        if {j for _, j in prefix} != set(members):
-            violations.append(
-                f"disks merged into {i} are not a neighbour-sequence prefix"
-            )
-            continue
-        total = r[i]
-        for d2, j in prefix:
-            if d2 >= total * total:
-                violations.append(
-                    f"disk {j} is out of reach of disk {i} when merged")
-                break
-            total += r[j]
-
-    _check_disjoint(instance, groups, mode, violations)
-    return VerificationReport(not violations, len(groups), violations)
+    return _verify(instance, assignment, mode, True)[0]
 
 
 def verify_uproper(instance: Instance, assignment: Assignment,
@@ -612,26 +605,4 @@ def verify_uproper(instance: Instance, assignment: Assignment,
     (non-strictly) the aggregate radius accumulated from the previous
     members.  Centre-disjointness of selected pairs still applies.
     """
-    return _verify_uproper(instance, assignment, mode)[0]
-
-
-def _verify_uproper(instance: Instance, assignment: Assignment,
-                    mode: DisjointnessMode,
-                    ) -> tuple[VerificationReport,
-                               dict[int, tuple[tuple[int, ...], int]]]:
-    """:func:`verify_uproper`'s report and the merge groups it checked,
-    empty when the assignment is not an idempotent map of the disks."""
-    violations: list[str] = []
-    if not _check_shape(instance, assignment, violations):
-        return VerificationReport(False, 0, violations), {}
-
-    groups = _merge_groups(instance, assignment)
-    for i, (members, _) in groups.items():
-        _, out = _relaxed_walk(instance, i, members)
-        if out is not None:
-            violations.append(
-                f"disk {out} is out of reach of disk {i} when merged (relaxed)"
-            )
-
-    _check_disjoint(instance, groups, mode, violations)
-    return VerificationReport(not violations, len(groups), violations), groups
+    return _verify(instance, assignment, mode, False)[0]

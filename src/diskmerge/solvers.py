@@ -30,7 +30,6 @@ from .core import (
     DisjointnessMode,
     Instance,
     _close_pairs,
-    _relaxed_walk,
     centre_disjoint,
     verify_proper,
 )
@@ -68,7 +67,7 @@ def _search(instance: Instance, mode: DisjointnessMode, relaxed: bool,
     Under the relaxed rule ``t`` can reach ``i`` when ``_d2(t, i) <=
     U_t**2``, and attaching merges ``i`` alone.  ``U_t`` is the last
     aggregate of ``t``'s relaxed reach walk (``Instance._reach`` with
-    ``strict=False``): every member of a walk that ``_relaxed_walk``
+    ``strict=False``): every member of a group that the relaxed rule
     accepts lies within the aggregate of the members before it, so by
     induction within ``U_t``.  Both tables read only the neighbours that
     these walks take.  Each leaf's target tuple fixes every branch
@@ -77,8 +76,10 @@ def _search(instance: Instance, mode: DisjointnessMode, relaxed: bool,
     Aggregates only grow as members are added, so a
     :func:`centre_disjoint` failure on partial aggregates is final; every
     pair is checked after its last growth, so a strict leaf is accepted
-    as is.  ``_relaxed_walk`` is not monotone in its members, so relaxed
-    leaves are walked.  The relaxed search is an optimiser: it cuts a
+    as is.  The relaxed rule is not monotone in a group's members, so a
+    relaxed leaf walks each group as :func:`verify_uproper` does:
+    ``Instance._reach`` over its members in ``(d2, id)`` order must take
+    them all.  The relaxed search is an optimiser: it cuts a
     subtree whose ``selected + undecided`` is at most the best cardinality
     found (-1 before the first leaf, so the empty leaf of ``n == 0`` is
     kept), so each leaf it yields beats the one before.
@@ -141,6 +142,11 @@ def _search(instance: Instance, mode: DisjointnessMode, relaxed: bool,
                 return True
         return False
 
+    def reached(t: int) -> bool:
+        # the relaxed walk over t's members, in (d2, id) order, takes all
+        pairs = sorted((instance._d2(t, j), j) for j in members[t])
+        return len(instance._reach(t, False, pairs)) > len(pairs)
+
     def rec(i: int, undecided: int):
         nonlocal best_card, checked
         checked += 1
@@ -149,9 +155,8 @@ def _search(instance: Instance, mode: DisjointnessMode, relaxed: bool,
         while i <= n and target[i]:
             i += 1
         if i > n:
-            if not relaxed or all(
-                    _relaxed_walk(instance, t, members[t])[1] is None
-                    for t in selected if members[t]):
+            if not relaxed or all(reached(t) for t in selected
+                                   if members[t]):
                 best_card = len(selected)
                 yield best_card, tuple(target[1:])
             return
@@ -212,7 +217,9 @@ def solve_exact_mcmd(
     cardinality that :func:`_search` yields.  ``INFEASIBLE`` when no
     assignment is accepted.  ``stats["accepted"]`` counts the accepted
     assignments.  The empty instance has one, the empty assignment, so it
-    is ``FEASIBLE`` with cardinality 0 and ``{"accepted": 1}``.
+    is ``FEASIBLE`` with cardinality 0 and ``{"accepted": 1}``.  The
+    search nests one generator per decision, so from about 1,000 disks
+    (Python's recursion limit) it can raise :class:`RecursionError`.
     """
     n = instance.n
     if n > max_n:
@@ -242,7 +249,8 @@ def solve_exact_rmcmd(
     smallest target tuple.  ``INFEASIBLE`` when no assignment is accepted.
     ``stats["checked"]`` counts search nodes.  The empty instance is one
     node, the leaf of the empty assignment: ``FEASIBLE`` with cardinality
-    0 and ``{"checked": 1}``.
+    0 and ``{"checked": 1}``.  The search has the depth limit of
+    :func:`solve_exact_mcmd`.
     """
     n = instance.n
     if n > max_n:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .core import (Assignment, DisjointnessMode, FormatError, Instance,
-                   _verify_uproper)
+                   _verify)
 
 _DECIMALS = 4
 _UNIT = 10 ** _DECIMALS
@@ -38,7 +38,7 @@ def render_svg(instance: Instance,
     id."""
     aggs: dict[int, int] = {}  # selected disk -> aggregate radius (1/L)
     if assignment is not None:
-        report, groups = _verify_uproper(instance, assignment, mode)
+        report, groups = _verify(instance, assignment, mode, False)
         if not report.ok:
             raise FormatError(
                 f"assignment fails verification: {report.violations[0]}")

@@ -11,6 +11,8 @@ from .core import _EXACT, Disk, FormatError, Instance, Point
 
 F = Fraction
 
+_MAX_DISKS = 10 ** 6  # the most disks equalize_radii makes
+
 
 @dataclass(frozen=True)
 class EqualizedInstance:
@@ -30,7 +32,8 @@ def equalize_radii(instance: Instance, r: Fraction) -> EqualizedInstance:
     copies pairwise overlap, so any centre-disjoint selection keeps at
     most one of them.
 
-    ``r`` must be an exact number (an int or a Fraction).
+    ``r`` must be an exact number (an int or a Fraction).  A result of
+    more than ``_MAX_DISKS`` (10**6) disks is refused before it is built.
 
     The relaxed optimum is not preserved in general, because the copies
     of one disk may merge into different targets.  The disks
@@ -50,16 +53,20 @@ def equalize_radii(instance: Instance, r: Fraction) -> EqualizedInstance:
     p, q = r.numerator, r.denominator
     L = instance._scale
     step = L * p
-    xn: list[int] = []
-    xd: list[int] = []
-    yn: list[int] = []
-    yd: list[int] = []
-    origin: dict[int, int] = {}
+    counts = []
     for i in range(1, instance.n + 1):
         k, rest = divmod(instance._r[i] * q, step)
         if rest:
             raise FormatError(f"disk {i} radius {Fraction(instance._r[i], L)}"
                               f" is not a multiple of {r}")
+        counts.append(k)
+    m = sum(counts)
+    if m > _MAX_DISKS:
+        raise FormatError(f"equal radius {r} makes {m} disks, more than "
+                          f"{_MAX_DISKS}")
+    xn, xd, yn, yd = [], [], [], []
+    origin: dict[int, int] = {}
+    for i, k in enumerate(counts, start=1):
         x, y = instance._x[i], instance._y[i]
         gx, gy = gcd(x, L), gcd(y, L)
         xn += [x // gx] * k
@@ -68,7 +75,6 @@ def equalize_radii(instance: Instance, r: Fraction) -> EqualizedInstance:
         yd += [L // gy] * k
         for _ in range(k):
             origin[len(origin) + 1] = i
-    m = len(origin)
     ids = list(range(1, m + 1))
     return EqualizedInstance(
         Instance._from_columns(ids, xn, xd, yn, yd, [p] * m, [q] * m),

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,8 @@ import pytest
 import diskmerge
 from diskmerge import cli
 from diskmerge.cli import generate_random, run
-from diskmerge.core import Assignment, Disk, FormatError, Instance, Point
+from diskmerge.core import (Assignment, Disk, FormatError, Instance, Point,
+                            VerificationReport)
 from diskmerge.fixtures import relaxed_only_instance, single_positive_clause
 from diskmerge.formula import (Clause, MonotoneFormula, Polarity,
                                RectilinearRep, validate_rep)
@@ -35,6 +37,10 @@ def paths(tmp_path):
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+class _One(IntEnum):
+    ONE = 1
 
 
 def _positive(num_variables, *literals):
@@ -117,6 +123,22 @@ INPUT_ERRORS = [
     pytest.param(lambda: Assignment((2,)),
                  "assignment target 2 out of range 1..1",
                  id="target-out-of-range"),
+    # keys and targets are ints by type, as instance ids are: these all
+    # equal 1
+    pytest.param(lambda: Assignment({True: 1}),
+                 "assignment keys must be exactly 1..n", id="bool-key"),
+    pytest.param(lambda: Assignment({1.0: 1}),
+                 "assignment keys must be exactly 1..n", id="float-key"),
+    pytest.param(lambda: Assignment({Fraction(1): 1}),
+                 "assignment keys must be exactly 1..n", id="fraction-key"),
+    pytest.param(lambda: Assignment((_One.ONE,)),
+                 "assignment target <_One.ONE: 1> is not an int",
+                 id="int-enum-target"),
+    # one past the size limit, so that a build without it stays in memory
+    pytest.param(lambda: equalize_radii(
+        Instance([Disk(1, Point(0, 0), 1_000_001)]), 1),
+        "equal radius 1 makes 1000001 disks, more than 1000000",
+        id="equalize-too-many-disks"),
     pytest.param(lambda: generate_random(3, "cube", 0),
                  "unknown profile 'cube'", id="unknown-profile"),
     pytest.param(["solve", "--collinear", "--relaxed", "INSTANCE"],
@@ -140,6 +162,15 @@ def test_input_error_message(paths, capsys, source, message):
     else:
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             source()
+
+
+class TestReprAndHash:
+    def test_value_methods(self):
+        assert bool(VerificationReport(True, 0)) is True
+        assert bool(VerificationReport(False, 0, ["x"])) is False
+        assert hash(Assignment((1, 1))) == hash(Assignment({1: 1, 2: 1}))
+        assert repr(Assignment((1, 1))) == "Assignment((1, 1))"
+        assert repr(Instance(())) == "Instance(n=0)"
 
 
 class TestGenerateRandom:
@@ -213,6 +244,16 @@ class TestSolveAndVerify:
         assert capsys.readouterr().err == \
             "error: instance size 10 exceeds oracle limit 9\n"
         assert run(["solve", "--exact", "--max-n", "10", big]) == 0
+
+    def test_exact_recursion_depth_is_input_error(self, paths, capsys):
+        # far-apart disks: the search nests one call per disk
+        far = write(paths / "far.json", serialize_instance(Instance(
+            [Disk(i, Point(10 * i, 0), 1) for i in range(1, 1001)])))
+        assert run(["solve", "--exact", "--max-n", "1000", far]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: instance size 1000 exceeds the "
+                                "exact search's recursion depth\n")
 
 
 class TestReduceCommands:
@@ -389,7 +430,8 @@ def reference_parser():
     p.add_argument("--relaxed", action="store_true",
                    help="relaxed merge rules (with --exact)")
     p.add_argument("--max-n", type=int, default=cli.MAX_N,
-                   help="refuse exhaustive search above this size")
+                   help="refuse exhaustive search above this size; about "
+                        "1000 disks exceed its recursion depth")
     add_mode(p)
     p.add_argument("instance")
     add_output(p)
@@ -419,7 +461,8 @@ def reference_parser():
     rp.set_defaults(func=cli._cmd_reduce_partition)
 
     p = sub.add_parser("equalize", help="rewrite to equal radii")
-    p.add_argument("--r", required=True, help="common radius")
+    p.add_argument("--r", required=True,
+                   help="common radius; at most 1000000 disks come out")
     p.add_argument("instance")
     add_output(p)
     p.set_defaults(func=cli._cmd_equalize)
