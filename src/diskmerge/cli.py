@@ -33,7 +33,8 @@ from .serialization import (_dump, _parse_int, parse_assignment,
 from .solvers import (MAX_N, solve_collinear, solve_exact_mcmd,
                       solve_exact_rmcmd)
 from .svg import render_svg
-from .transforms import PartitionInput, equalize_radii, reduce_partition
+from .transforms import (_MAX_DISKS, PartitionInput, equalize_radii,
+                         reduce_partition)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,10 +153,13 @@ def generate_random(n: int, profile: str, seed: int) -> Instance:
 
     ``collinear`` places centres at distinct small-rational x on the
     x-axis; ``planar`` places them in a bounded box.  Radii lie in
-    [1/4, 2] in both profiles.
+    [1/4, 2] in both profiles.  ``n`` is at most ``_MAX_DISKS`` (10**6),
+    checked before anything is built.
     """
     if n < 0:
         raise FormatError("n must be non-negative")
+    if n > _MAX_DISKS:
+        raise FormatError(f"n must be at most {_MAX_DISKS}")
     rng = random.Random(seed)
     disks = []
     if profile == "collinear":
@@ -255,7 +259,8 @@ def _add_render(p):
 
 
 def _add_gen(p):
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help="number of disks, at most 1000000")
     p.add_argument("--profile", choices=["collinear", "planar"],
                    default="collinear")
     p.add_argument("--seed", type=int, default=0)

@@ -65,6 +65,10 @@ _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _INT_RE = re.compile(r"0|-?[1-9][0-9]*")  # canonical ints only
 # exact numbers, matched by type(v): not a bool, a float or a subclass
 _EXACT = frozenset((int, Fraction))
+# the most bits of L: at 1024 a 10**5-disk line parses as fast as with L =
+# 3 and verifies and solves in about twice the time; each scaled int grows
+# with L, so co-prime denominators would make a document quadratic
+_MAX_SCALE_BITS = 1024
 
 
 class FormatError(ValueError):
@@ -220,7 +224,14 @@ class Instance:
         # the order they were made
         xn, xd, yn, yd, rn, rd = terms
         dens = {*xd, *yd, *rd}
-        L = self._scale = lcm(*dens)
+        L = 1
+        for q in dens:  # stop once L is too long, before it grows further
+            L = lcm(L, q)
+            if L.bit_length() > _MAX_SCALE_BITS:
+                raise FormatError(
+                    f"the common denominator of the values has at least "
+                    f"{L.bit_length()} bits, more than {_MAX_SCALE_BITS}")
+        self._scale = L
         factor = {q: L // q for q in dens}.__getitem__
         self._x = (0, *map(mul, xn, map(factor, xd)))
         self._y = (0, *map(mul, yn, map(factor, yd)))

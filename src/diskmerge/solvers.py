@@ -306,35 +306,28 @@ def solve_collinear(
     state is fixed by its window ``(y, j)``: the outermost positions of
     the disk and its prefix (``a``, ``b``) and of the centres strictly
     inside its aggregate (``A``, ``B``), so ``x = b`` and ``z = B``.
-    Each feasible window is one record in a flat list, scored by index.
     A prefix whose positions leave a gap (a skipped same-centre sibling)
-    has no record, since no assignment completes it.  There are at most
+    has no window, since no assignment completes it.  There are at most
     ``n^2`` windows, one per position and feasible prefix length.  The
     DP finds a longest chain of windows that starts at ``a = 1`` and
     ends at ``b = n``, in which each window starts one past the ``b`` of
     the window before and is centre-disjoint from it.
 
-    Indexed by right end, a transition into ``(a, b, A, B)`` examines only
-    the windows that end at ``a - 1`` and belong to a disk left of ``A``:
-    at most ``n^2`` of them, so ``O(n^4)`` in all.  Two rules keep out
-    the windows that no chain can use, without changing any output or
-    ``entries``:
-
-    * *No predecessor.*  A window with ``A == 1`` and ``a > 1`` gets no
-      record: a predecessor would need ``t < A = 1``, so its score would
-      stay 0, and a window of score 0 is never a predecessor, never
-      counted and never the answer.
-    * *No successor.*  A window with ``B == n`` and ``b < n`` is scored
-      but goes into no bucket: a successor ``u`` would need ``B < u <=
-      n``.
-
-    The last bucket never empties: if the first rule drops the one-disk
-    window at position ``n``, that disk strictly covers every centre, so
-    its full prefix is the window ``(1, n)``, which both rules keep.  On
-    dense unit-spaced lines the rules keep about ``n^3 / 26``
-    transitions of the ``n^3 / 7`` that scoring every window examines.
+    One pass builds the windows in ascending ``(y, j)`` and scores each
+    as it is built.  A predecessor of ``(a, b, A, B)`` ends at ``a - 1``
+    and belongs to a disk ``t < A <= y``, so it was scored on an earlier
+    ``y``.  Indexed by right end, the transition examines only those
+    windows, at most ``n^2``, so ``O(n^4)`` in all.  One rule keeps out
+    the windows that no chain can use: a window of score 0 gets no record
+    and goes into no bucket, so no later window examines it, and an
+    empty last bucket means that no chain covers the line.  A bucket
+    also leaves out the records with ``B == n`` and ``b < n``, which can
+    have no successor ``u`` (``B < u <= n``).  On dense unit-spaced
+    lines the pass examines about ``n^3 / 33`` transitions, against
+    ``n^3 / 26`` when the windows of score 0 went into buckets too.
     ``stats["transitions"]`` counts those bucket entries examined and
-    ``stats["entries"]`` the windows that some chain reaches.
+    ``stats["entries"]`` the records, the windows that some chain
+    reaches.
     """
     order = collinearity_check(instance)
     if order is None:
@@ -349,22 +342,27 @@ def solve_collinear(
     for p, disk_id in enumerate(order, start=1):
         pos_of[disk_id] = p
 
-    # wins: one record (a, b, A, B, y, R) per feasible window that can
-    # have a predecessor, in ascending (y, prefix length); R is the
-    # prefix's aggregate.  ending_at[b]: (y, B, index) of the windows
-    # that end at b and can have a successor, in list order -- a
-    # predecessor of window (a, b, A, B) ends at a - 1 and starts left
-    # of A
-    wins: list[tuple[int, int, int, int, int, int]] = []
+    # wins: one record (a, b, y, R) per window that some chain reaches,
+    # in ascending (y, prefix length); R is the prefix's aggregate.
+    # best[w]: the most windows in a chain that covers positions 1..b and
+    # ends with window w; pred[w]: the window before it in the first such
+    # chain found.  ending_at[b]: (y, B, w) of the records that end at b
+    # and can have a successor, in list order
+    wins: list[tuple[int, int, int, int]] = []
+    best: list[int] = []
+    pred: list[Optional[int]] = []
     ending_at: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
+    transitions = 0
+    sum_rule = mode is DisjointnessMode.SUM
     for y in range(1, n + 1):
         # the centres strictly inside prefix j's aggregate are the walk's
         # pairs with d2 < R**2: a run from its start that lengthens with
         # j and ends inside the feasible prefix (_reach stopped at the
         # first centre outside the last aggregate).  On a line they fill
         # the positions A..B around y.
-        reach = instance._reach(id_at[y])
-        pairs = instance._walk(id_at[y], len(reach) - 1)
+        yid = id_at[y]
+        reach = instance._reach(yid)
+        pairs = instance._walk(yid, len(reach) - 1)
         size = len(pairs)
         lo = hi = A = B = y
         inside = 0
@@ -388,55 +386,44 @@ def solve_collinear(
                 elif q > B:
                     B = q
                 inside += 1
-            if A == 1 and lo > 1:
-                continue               # no predecessor: best stays 0
+            score = 1 if lo == 1 else 0    # and ending_at[0] is empty
+            prior = None
+            for t, Bt, v in ending_at[lo - 1]:
+                if t >= A:
+                    break
+                transitions += 1
+                # t < A and Bt < y: neither centre lies strictly inside
+                # the other aggregate, which is the MAX rule
+                if Bt >= y:
+                    continue
+                if sum_rule and not centre_disjoint(
+                        instance._d2(id_at[t], yid), wins[v][3], R, mode):
+                    continue
+                if best[v] + 1 > score:
+                    score = best[v] + 1
+                    prior = v
+            if not score:
+                continue               # no chain reaches this window
             if B < n or hi == n:       # else no successor
                 ending_at[hi].append((y, B, len(wins)))
-            wins.append((lo, hi, A, B, y, R))
+            wins.append((lo, hi, y, R))
+            best.append(score)
+            pred.append(prior)
 
-    # best[w]: the most windows in a chain that covers positions 1..b and
-    # ends with window w, 0 if there is none; pred[w]: the window before
-    # it in the first such chain found
-    best = [0] * len(wins)
-    pred: list[Optional[int]] = [None] * len(wins)
-    transitions = entries = 0
-    sum_rule = mode is DisjointnessMode.SUM
-
-    for w, (a, _, A, _, y, R) in enumerate(wins):
-        score = 1 if a == 1 else 0     # and ending_at[0] is empty
-        for t, Bt, v in ending_at[a - 1]:
-            if t >= A:
-                break
-            transitions += 1
-            # t < A and Bt < y: neither centre lies strictly inside the
-            # other aggregate, which is the MAX rule
-            if Bt >= y:
-                continue
-            if sum_rule and not centre_disjoint(
-                    instance._d2(id_at[t], id_at[y]), wins[v][5], R, mode):
-                continue
-            prev = best[v]
-            if prev and prev + 1 > score:
-                score = prev + 1
-                pred[w] = v
-        best[w] = score
-        entries += score > 0
-
-    # a prefix lies strictly inside its aggregate, so A <= a and B >= b:
-    # a window that ends at n also has z = B = n.  The single-disk window
-    # at position n, or the window (1, n) if that disk covers every
-    # centre, is one of them; the first longest chain wins.
-    last = max((v for _, _, v in ending_at[n]), key=best.__getitem__)
-    stats = {"transitions": transitions, "entries": entries}
-    if not best[last]:
+    stats = {"transitions": transitions, "entries": len(wins)}
+    if not ending_at[n]:
         return SolveResult(INFEASIBLE, 0, None, stats)
+    # a prefix lies strictly inside its aggregate, so A <= a and B >= b:
+    # a window that ends at n also has z = B = n.  The first longest
+    # chain wins.
+    last = max((v for _, _, v in ending_at[n]), key=best.__getitem__)
     cardinality = best[last]
 
     # reconstruct: each window of the chain maps its positions a..b, the
     # disk and its prefix, to the disk
     target = [0] * (n + 1)
     while last is not None:
-        a, b, _, _, y, _ = wins[last]
+        a, b, y, _ = wins[last]
         for p in range(a, b + 1):
             target[id_at[p]] = id_at[y]
         last = pred[last]

@@ -148,7 +148,18 @@ INPUT_ERRORS = [
                  id="cli-collinear-relaxed-missing-file"),
     pytest.param(["gen", "--n", "-1"], "n must be non-negative",
                  id="cli-negative-n"),
+    # refused before a list of n entries is made
+    pytest.param(["gen", "--n", "1000000000000"], "n must be at most 1000000",
+                 id="cli-huge-n"),
+    pytest.param(["solve", "--collinear", "SCALED"],
+                 "the common denominator of the values has at least 1025 "
+                 "bits, more than 1024", id="cli-scale-over-cap"),
 ]
+
+# three disks whose co-prime denominators make an L of 1025 bits
+SCALED_DOCUMENT = json.dumps({"version": 1, "disks": [
+    {"id": i + 1, "x": str(i), "y": "0", "r": f"1/{q}"}
+    for i, q in enumerate((3 ** 200, 5 ** 150, 7 ** 128))]})
 
 
 @pytest.mark.parametrize("source, message", INPUT_ERRORS)
@@ -156,7 +167,8 @@ def test_input_error_message(paths, capsys, source, message):
     if isinstance(source, list):
         files = {"INSTANCE": write(paths / "in.json",
                                    serialize_instance(Instance(()))),
-                 "MISSING": str(paths / "missing.json")}
+                 "MISSING": str(paths / "missing.json"),
+                 "SCALED": write(paths / "scaled.json", SCALED_DOCUMENT)}
         assert run([files.get(a, a) for a in source]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
     else:
@@ -475,7 +487,8 @@ def reference_parser():
     p.set_defaults(func=cli._cmd_render)
 
     p = sub.add_parser("gen", help="generate a random instance")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help="number of disks, at most 1000000")
     p.add_argument("--profile", choices=["collinear", "planar"],
                    default="collinear")
     p.add_argument("--seed", type=int, default=0)

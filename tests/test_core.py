@@ -149,6 +149,18 @@ class TestInstance:
     def test_empty_instance_allowed(self):
         assert mk().n == 0
 
+    def test_common_scale_capped(self):
+        # co-prime prime-power denominators: L has exactly the cap's bits,
+        # then one more, so three disks stand in for thousands of primes
+        with pytest.raises(FormatError, match=re.escape(
+                "the common denominator of the values has at least 1025 "
+                "bits, more than 1024")):
+            mk((0, 0, F(1, 3 ** 200)), (1, 0, F(1, 5 ** 150)),
+               (2, 0, F(1, 7 ** 128)))
+        at_cap = mk((0, 0, F(1, 3 ** 200)), (1, 0, F(1, 5 ** 152)),
+                    (2, 0, F(1, 7 ** 126)))
+        assert at_cap._scale.bit_length() == core._MAX_SCALE_BITS == 1024
+
     @pytest.mark.parametrize("disk", [
         Disk(1, Point(0.1, 0), 1), Disk(1, Point(0, 0), 1.0),
         Disk(1, Point(0, True), 1), Disk(1, Point("1/2", 0), 1),

@@ -292,17 +292,18 @@ def solve_digest(cases, transitions=True):
 
 
 # sha256 of every bench_lines() solve in both modes, recorded once the
-# window build dropped the windows no chain can use
+# window pass scored each window as it was built and kept only the
+# windows some chain reaches
 BENCH_LINES_DIGEST = \
-    "220e2221ae8e70a4c006e0a0573305c098deb14eb8d5ace5e484de8cc50ed5c2"
+    "4ca36037c32525c695a37aecea1f1752540e3524e10661e343b84438b6118fa9"
 
 # the same digest over DP_CORPUS, whose lines have gapped prefixes
 DP_CORPUS_DIGEST = \
-    "dd99105eed31483ed35d77f9653c99dc822c59300414c3aee3cedc61ef8485c3"
+    "3c697707c16a780617e9832b3cd70e6f13bc1d597487cbafea5cfbb89a090144"
 
 # the same digest over sloped_lines()
 SLOPED_LINES_DIGEST = \
-    "1dfb92d44516dbd5e3a2fd3646931b25af97f49c2d7516c021bb0ec993896c51"
+    "ded07d3ab0597e651986ad9c522b258fb665a152b611a52a3251fa88f320baa0"
 
 # the same digests without transitions, recorded while every feasible
 # window was still scored and put in a bucket
@@ -686,14 +687,14 @@ class TestSolveCollinear:
         check_against_references(inst)
 
     def test_reports_transition_counter(self):
-        # transitions counts bucket entries examined, about n**3 / 26 on
+        # transitions counts bucket entries examined, about n**3 / 33 on
         # dense lines; the full scan examines 930 and 16,380 windows at
         # n = 10 and 20
         for n, mode, transitions, entries in (
                 (10, MAX, 31, 45), (10, SUM, 31, 39),
-                (20, MAX, 289, 148), (20, SUM, 289, 129),
-                (100, MAX, 38654, 3082), (100, SUM, 38654, 2649),
-                (200, MAX, 310787, 11998), (200, SUM, 310787, 10299)):
+                (20, MAX, 245, 148), (20, SUM, 241, 129),
+                (100, MAX, 30110, 3082), (100, SUM, 29982, 2649),
+                (200, MAX, 239523, 11998), (200, SUM, 238979, 10299)):
             inst = dense_line(n)
             stats = solve_collinear(inst, mode).stats
             assert (stats["transitions"], stats["entries"]) == \
