@@ -15,12 +15,11 @@ import importlib
 _EXPORTS = {
     "core": (
         "Assignment", "Disk", "DisjointnessMode", "FormatError", "Instance",
-        "Point", "VerificationReport", "aggregate_radius", "cardinality",
-        "centre_disjoint", "format_rational", "parse_rational",
-        "verify_proper", "verify_uproper"),
+        "Point", "VerificationReport", "centre_disjoint", "format_rational",
+        "parse_rational", "verify_proper", "verify_uproper"),
     "formula": (
         "Clause", "MonotoneFormula", "Polarity", "RectilinearRep",
-        "grid_embed", "grid_size", "validate_rep"),
+        "grid_embed", "validate_rep"),
     "gadgets": ("Gadget", "GadgetKind", "Pose", "build_gadget", "pose_at"),
     "reduction": (
         "Assembly", "ReductionArtifact", "ReductionError", "assemble",

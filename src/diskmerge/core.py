@@ -19,16 +19,15 @@ search prunes with), over the neighbour walk or over a given ``pairs``
 list (a merge group's members), :func:`centre_disjoint` decides the
 MAX/SUM bound and ``_close_pairs`` finds the pairs that can fail it
 under given aggregates.  Both verifiers are one function, ``_verify``;
-it and the solvers in :mod:`diskmerge.solvers` call these, and
-:meth:`Instance.reach` is the strict walk's Fraction view.
+it and the solvers in :mod:`diskmerge.solvers` call these.
 
-Neighbour order is lazy.  One resumable sweep per disk
-(``Instance._walk``) yields the other disks in the exact ``(distance,
-id)`` order of :meth:`Instance.neighbor_sequence` and computes only as far
-as its caller reads, so the reach walks and the solvers stop at the first
-neighbour out of reach, and :func:`verify_proper` reads each group's
-prefix once, one pair per member, instead of sorting all ``n`` disks for
-every disk.  A reader asks for a count of neighbours or for every
+Neighbour order is lazy, and one walk defines it.  One resumable sweep
+per disk (``Instance._walk``) yields the other disks in exact
+``(distance, id)`` order and computes only as far as its caller reads,
+so the reach walks and the solvers stop at the first neighbour out of
+reach, and :func:`verify_proper` reads each group's prefix once, one
+pair per member, instead of sorting all ``n`` disks for every disk.  A
+reader asks for a count of neighbours or for every
 neighbour below a squared distance, in one call: a reach walk asks once
 per growth of its aggregate, not once per neighbour.  Disjointness is
 found the same way in both verifiers and in the exact search
@@ -163,8 +162,8 @@ class Instance:
     from them, and :attr:`disks` is a view of them, built on first read
     and then kept.  No object of the caller's is kept.
 
-    Neighbours come from one lazy walk per disk (:meth:`_walk`) in the
-    exact ``(d2, id)`` order of :meth:`neighbor_sequence`.  It computes
+    Neighbours come from one lazy walk per disk (:meth:`_walk`), which
+    defines their order: exact ``(d2, id)``, ties by id.  It computes
     only as far as a caller reads, so :meth:`_reach` and the prefix
     readers in the verifiers and solvers read no farther than they need
     instead of sorting all ``n`` disks.  Besides :attr:`disks`,
@@ -269,6 +268,7 @@ class Instance:
         dy = self._y[i] - self._y[j]
         return dx * dx + dy * dy
 
+    # read only by perfbench's tracer, which wraps it; goes with its change
     def dist2(self, i: int, j: int) -> Fraction:
         return Fraction(self._d2(i, j), self._scale * self._scale)
 
@@ -351,17 +351,15 @@ class Instance:
         state[2:] = lo, hi, g2
         return done
 
-    def _neighbor_prefix(self, i: int, k: int) -> tuple[int, ...]:
-        """The first ``k`` entries of :meth:`neighbor_sequence`."""
-        return tuple(j for _, j in self._walk(i, k)[:k])
-
+    # read only by perfbench's tracer, which wraps it; goes with its change
     def neighbor_sequence(self, i: int) -> tuple[int, ...]:
         """Other disks ordered by increasing centre distance; ties by id."""
-        return self._neighbor_prefix(i, self.n - 1)
+        return tuple(j for _, j in self._walk(i, self.n - 1))
 
     def _reach(self, i: int, strict: bool = True,
                pairs: Optional[list] = None) -> tuple[int, ...]:
-        """:meth:`reach` in units of ``1/L``.
+        """Running aggregate radii of disk ``i`` in units of ``1/L``, entry
+        ``k`` after ``k`` neighbours, up to the first out of strict reach.
 
         With ``strict=False``, the same walk under the relaxed rule: it
         also takes a neighbour at exactly the radius so far.  Its last
@@ -402,16 +400,6 @@ class Instance:
                 self._walk(i, 0, limit)
                 size = len(pairs)
         return tuple(walk)
-
-    def reach(self, i: int) -> tuple[Fraction, ...]:
-        """Running aggregate radii of disk ``i`` under the strict reach rule.
-
-        Entry ``j`` is the radius after merging the first ``j`` neighbours;
-        the walk stops at the first neighbour whose centre is not strictly
-        inside the radius so far, so prefix ``j`` is feasible iff
-        ``j < len(reach(i))``.
-        """
-        return tuple(Fraction(t, self._scale) for t in self._reach(i))
 
     def _key(self) -> tuple:
         # L is the lcm of lowest-terms denominators, so equal disks give
@@ -464,18 +452,6 @@ class Assignment:
 
     def __repr__(self) -> str:
         return f"Assignment({self.target})"
-
-
-def cardinality(assignment: Assignment) -> int:
-    """Number of selected disks."""
-    return len(assignment.selected())
-
-
-def aggregate_radius(instance: Instance, assignment: Assignment, i: int) -> Fraction:
-    """Sum of the radii of all disks mapped to ``i`` (including ``i`` itself
-    when it is selected); 0 when no disk is mapped to ``i``."""
-    group = _merge_groups(instance, assignment).get(i)
-    return Fraction(group[1], instance._scale) if group else Fraction(0)
 
 
 def _merge_groups(instance: Instance, assignment: Assignment,

@@ -208,10 +208,3 @@ def grid_embed(formula: MonotoneFormula, rep: RectilinearRep
     validate_rep(formula, out)
     return out
 
-
-def grid_size(formula: MonotoneFormula, rep: RectilinearRep
-              ) -> tuple[int, int]:
-    """(rows, columns) of the bounding grid of an embedded drawing."""
-    rows = len(set(rep.clause_rows)) + 1
-    cols = max((hi for _, hi in rep.variable_segments), default=0)
-    return rows, cols

@@ -18,10 +18,10 @@ denominator (``_DEN``, 120); radii are exact Fractions.  A gadget keeps
 its frame and its pose; a pose maps the frame onto the global layout: a
 signed permutation matrix and an exact rational offset.  It does the
 arithmetic in ints and gives each coordinate as a lowest-terms ``(num,
-den)`` pair, which :func:`~diskmerge.reduction.assemble` reads as it is;
-a gadget builds its placed points only when they are read.  Ports stay
-on lattice points whenever the offset is an integer point, as every pose
-of :func:`~diskmerge.reduction.reduce_sat` is.
+den)`` pair (``Pose._terms``), which :func:`~diskmerge.reduction.assemble`
+reads as it is; that is the one placement, and a gadget keeps no placed
+point.  Ports stay on lattice points whenever the offset is an integer
+point, as every pose of :func:`~diskmerge.reduction.reduce_sat` is.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable
 
 from .core import _EXACT, FormatError, Point
@@ -67,14 +67,9 @@ class Pose:
             raise FormatError(f"not an orthogonal lattice matrix: "
                               f"{self.matrix}")
 
-    def apply(self, p: Point) -> Point:
-        den = lcm(p.x.denominator, p.y.denominator)
-        return Point(*(F(*t) for t in self._terms(int(p.x * den),
-                                                  int(p.y * den), den)))
-
     def _terms(self, x: int, y: int, den: int
                ) -> tuple[tuple[int, int], tuple[int, int]]:
-        """:meth:`apply` to the point ``(x / den, y / den)``, as the
+        """The pose applied to the point ``(x / den, y / den)``, as the
         lowest-terms ``(num, den)`` pair of each coordinate: the matrix
         acts on the ints, and the offset joins over the common
         denominator."""
@@ -147,30 +142,13 @@ _INPUT_ABSORBER_MDISK = ("absint", (36, 0))
 @dataclass(frozen=True)
 class Gadget:
     """A gadget kind placed by a pose.  ``frame`` is what the gadget kept
-    of its kind's local tables: ``(selectors, markers, ports)``, each
-    point an int pair over ``_DEN``, and each port with its outward
-    direction.  :attr:`sdisks`, :attr:`mdisks` and :attr:`ports` place
-    them when read."""
+    of its kind's local tables: ``(selectors, markers, ports)``, points as
+    int pairs over ``_DEN`` and ports with their outward direction."""
 
     kind: GadgetKind
     pose: Pose
     frame: tuple[tuple, tuple, tuple]
     role: str = ""
-
-    def _point(self, p: tuple[int, int]) -> Point:
-        return Point(*(F(*t) for t in self.pose._terms(*p, _DEN)))
-
-    @property
-    def sdisks(self) -> tuple[tuple[str, Point, Fraction], ...]:
-        return tuple((n, self._point(p), r) for n, p, r in self.frame[0])
-
-    @property
-    def mdisks(self) -> tuple[tuple[str, Point], ...]:
-        return tuple((n, self._point(p)) for n, p in self.frame[1])
-
-    @property
-    def ports(self) -> tuple[tuple[str, Point], ...]:
-        return tuple((n, self._point(p)) for n, p, _ in self.frame[2])
 
 
 def build_gadget(kind: GadgetKind, pose: Pose,

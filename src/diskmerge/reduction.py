@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (Assignment, DisjointnessMode, FormatError, Instance,
-                   format_rational, verify_proper)
+                   Point, format_rational, verify_proper)
 from .formula import MonotoneFormula, RectilinearRep, grid_embed
 from .gadgets import _DEN, Gadget, GadgetKind, Pose, build_gadget, pose_at
 
@@ -170,8 +170,8 @@ def port_harness(gadget: Gadget) -> Assembly:
     gs = [gadget]
     for name, p, (dx, dy) in gadget.frame[2]:
         gx, gy = a * dx + b * dy, c * dx + d * dy
-        gs.append(build_gadget(GadgetKind.INPUT,
-                               Pose((-gx, gy, -gy, -gx), gadget._point(p)),
+        at = Point(*(F(*t) for t in gadget.pose._terms(*p, _DEN)))
+        gs.append(build_gadget(GadgetKind.INPUT, Pose((-gx, gy, -gy, -gx), at),
                                role=f"harness {name}"))
     return assemble(gs)
 
@@ -318,10 +318,14 @@ def build_assignment_from_sat(artifact: ReductionArtifact,
                               values: dict[int, int]) -> Assignment:
     """Merge assignment induced by satisfying variable values.
 
-    Raises ReductionError if the values do not satisfy the formula
-    (propagation reaches a disjunction none of whose ports arrive
-    merged in).
+    Raises ReductionError unless ``values`` maps exactly ``1..V`` to the
+    ints 0 and 1 (checked first, by type) and satisfies the formula: no
+    disjunction is reached with none of its ports merged in.
     """
+    v = len(artifact.port_map)
+    if any(type(k) is not int or type(b) is not int or b not in (0, 1)
+           for k, b in values.items()) or sorted(values) != [*range(1, v + 1)]:
+        raise ReductionError(f"values must map variables 1..{v} to 0 or 1")
     n = artifact.instance.n
     target = [0] * (n + 1)
 

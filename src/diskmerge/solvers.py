@@ -107,8 +107,8 @@ def _search(instance: Instance, mode: DisjointnessMode, relaxed: bool,
     # (k = 0), or a t whose walk under the rule takes i as its k-th
     # neighbour; strict: attaching i merges t's first k neighbours
     reach = [()] + [instance._reach(t, not relaxed) for t in range(1, n + 1)]
-    seqs = [()] + [instance._neighbor_prefix(t, len(reach[t]) - 1)
-                   for t in range(1, n + 1)]
+    seqs = [()] + [tuple(j for _, j in instance._walk(t, k)[:k]) for t, k in
+                   enumerate((len(w) - 1 for w in reach[1:]), start=1)]
     covers: list[list[tuple[int, int]]] = [[(i, 0)] for i in range(n + 1)]
     for t in range(1, n + 1):
         for k, i in enumerate(seqs[t], start=1):

@@ -22,7 +22,7 @@ from diskmerge.fixtures import (FORMULA_FIXTURES, chain_formula,
                                 equalize_relaxed_rise_instance,
                                 relaxed_only_instance)
 from diskmerge.formula import (Clause, MonotoneFormula, Polarity,
-                               RectilinearRep, grid_embed, grid_size)
+                               RectilinearRep, grid_embed)
 from diskmerge.gadgets import GadgetKind, Pose, build_gadget
 from diskmerge.reduction import (ReductionError, assemble,
                                  build_assignment_from_sat,
@@ -94,7 +94,7 @@ def test_criterion_2_fixture_statuses():
 def _port_states(kind):
     g = build_gadget(kind, Pose())
     asm = port_harness(g)
-    ids = {name: asm.mdisk_ids[(0, name)] for name, _ in g.ports}
+    ids = {name: asm.mdisk_ids[(0, name)] for name, *_ in g.frame[2]}
     own = {did for (gi, _), did in
            list(asm.sdisk_ids.items()) + list(asm.mdisk_ids.items())
            if gi == 0}
@@ -232,7 +232,10 @@ def test_criterion_5_grid_bound():
     ok = True
     for name, fn in FORMULA_FIXTURES.items():
         formula, rep = fn()
-        rows, cols = grid_size(formula, grid_embed(formula, rep))
+        embedded = grid_embed(formula, rep)
+        # the bounding grid: one row per clause row plus the variable row
+        rows = len(set(embedded.clause_rows)) + 1
+        cols = max((hi for _, hi in embedded.variable_segments), default=0)
         c, v = len(formula.clauses), formula.num_variables
         ok &= rows <= c + 1 and cols <= 3 * c + v
         if name == "three_clause":

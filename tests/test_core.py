@@ -18,7 +18,6 @@ import diskmerge
 from diskmerge import core
 from diskmerge.core import (Assignment, Disk, DisjointnessMode, FormatError,
                             Instance, Point, _close_pairs, _merge_groups,
-                            aggregate_radius, cardinality,
                             centre_disjoint, format_rational, parse_rational,
                             verify_proper, verify_uproper)
 
@@ -29,6 +28,17 @@ SUM = DisjointnessMode.SUM
 def mk(*rows):
     return Instance([Disk(i + 1, Point(F(x), F(y)), F(r))
                      for i, (x, y, r) in enumerate(rows)])
+
+
+def reach(inst, i):
+    """The strict reach walk of disk ``i`` (``Instance._reach``) as
+    Fractions."""
+    return tuple(F(t, inst._scale) for t in inst._reach(i))
+
+
+def prefix(inst, i, k):
+    """The ids of the first ``k`` pairs of disk ``i``'s walk."""
+    return tuple(j for _, j in inst._walk(i, k)[:k])
 
 
 class IntSub(int):
@@ -201,7 +211,7 @@ class TestInstance:
 
     def test_prefix_aggregate_strictly_increasing(self):
         inst = mk((0, 0, 2), (1, 0, 1), (2, 0, F(1, 2)))
-        vals = list(inst.reach(1))
+        vals = list(reach(inst, 1))
         assert len(vals) == 3
         assert vals == sorted(set(vals))
         assert vals[0] == 2 and vals[-1] == F(7, 2)
@@ -209,7 +219,7 @@ class TestInstance:
     def test_reach_stops_at_first_out_of_reach(self):
         # prefixes 0..2 are feasible; the disk at 9 is out of reach
         inst = mk((0, 0, 2), (F(3, 2), 0, 1), (F(5, 2), 0, 1), (9, 0, 1))
-        assert inst.reach(1) == (2, 3, 4)
+        assert reach(inst, 1) == (2, 3, 4)
 
 
 class TestAssignment:
@@ -225,7 +235,7 @@ class TestAssignment:
         a = Assignment((1, 1, 3))
         assert a.selected() == (1, 3)
         assert _merge_groups(inst, a) == {1: ((2,), 3), 3: ((), 3)}
-        assert cardinality(a) == 2
+        assert len(a.selected()) == 2
         # groups come out by ascending selected disk, whatever the order
         # in which the target names them
         groups = _merge_groups(inst, Assignment((3, 2, 3)))
@@ -343,6 +353,13 @@ class TestCentreDisjoint:
         assert not centre_disjoint(F(4), F(2), F(1), SUM)
         assert centre_disjoint(F(9), F(2), F(1), SUM)
         assert not centre_disjoint(F(4) - F(1, 100), F(1), F(2), MAX)
+
+
+def aggregate_radius(inst, a, i):
+    """The radii of the disks that ``a`` maps to ``i`` summed, as a
+    Fraction, from ``_merge_groups``; 0 when no disk is mapped to ``i``."""
+    group = _merge_groups(inst, a).get(i)
+    return F(group[1], inst._scale) if group else F(0)
 
 
 class TestAggregateRadius:
@@ -487,9 +504,9 @@ class TestIntegerKernel:
         n = inst.n
         for i in range(1, n + 1):
             assert inst.neighbor_sequence(i) == ref_neighbors(inst, i)
-            reach = inst.reach(i)
-            assert reach == ref_reach(inst, i)
-            assert all(type(v) is F for v in reach)
+            walk = reach(inst, i)
+            assert walk == ref_reach(inst, i)
+            assert all(type(v) is F for v in walk)
             for j in range(1, n + 1):
                 d2 = inst.dist2(i, j)
                 assert type(d2) is F and d2 == ref_dist2(inst, i, j)
@@ -622,7 +639,7 @@ class TestSweepWalk:
         scale = inst._scale
         for kind, i, k, bound in reads:
             if kind == "prefix":
-                assert inst._neighbor_prefix(i, k) == \
+                assert prefix(inst, i, k) == \
                     ref_neighbors(inst, i)[:k]
             elif kind == "bounded":
                 pairs = inst._walk(i, k, bound)
@@ -638,7 +655,7 @@ class TestSweepWalk:
             elif kind == "relaxed":
                 walk = inst._reach(i, strict=False)
                 assert F(walk[-1], scale) == ref_relaxed_bound(inst, i)
-                taken = inst._neighbor_prefix(i, len(walk) - 1)
+                taken = prefix(inst, i, len(walk) - 1)
                 assert set(taken) == {
                     j for j in range(1, inst.n + 1) if j != i and
                     ref_dist2(inst, i, j) <= ref_relaxed_bound(inst, i) ** 2}
@@ -649,7 +666,7 @@ class TestSweepWalk:
                 assert again == inst
                 inst = again
         for i in range(1, inst.n + 1):
-            assert inst.reach(i) == ref_reach(inst, i)
+            assert reach(inst, i) == ref_reach(inst, i)
             assert F(inst._reach(i, strict=False)[-1], scale) == \
                 ref_relaxed_bound(inst, i)
             pairs = inst._walk(i, inst.n)
@@ -675,13 +692,13 @@ class TestSweepWalk:
 
     def test_pickle_resumes_partial_walk(self):
         inst = mk(*[(x, 2 * x, 1) for x in (5, -3, 0, 4, -1, 2, -4, 1)])
-        assert inst._neighbor_prefix(3, 2) == (5, 8)  # a tie, by id
+        assert prefix(inst, 3, 2) == (5, 8)  # a tie, by id
         assert len(inst._walks[3][0]) < inst.n - 1  # the walk is partial
         again = pickle.loads(pickle.dumps(inst))
         assert again._walks[3][0] == inst._walks[3][0]
         for i in range(1, inst.n + 1):
             assert again.neighbor_sequence(i) == ref_neighbors(inst, i)
-            assert again.reach(i) == ref_reach(inst, i)
+            assert reach(again, i) == ref_reach(inst, i)
 
 
 def reference_check_disjoint(instance, groups, mode, violations):

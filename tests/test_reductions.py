@@ -14,7 +14,7 @@ from diskmerge.fixtures import (FORMULA_FIXTURES, chain_formula,
                                 equalize_relaxed_rise_instance,
                                 single_negative_clause, three_clause_formula)
 from diskmerge.formula import grid_embed
-from diskmerge.gadgets import GadgetKind, Pose, build_gadget, pose_at
+from diskmerge.gadgets import _DEN, GadgetKind, Pose, build_gadget, pose_at
 from diskmerge.reduction import (ReductionError, assemble,
                                  build_assignment_from_sat,
                                  extract_sat_assignment, port_harness,
@@ -37,10 +37,23 @@ INEXACT = list({(type(v), v): v for values, e in PARTITION_INEXACT
 
 
 def reference_apply(pose, p):
-    """Pose.apply in Fraction arithmetic: M·p + offset."""
+    """The pose in Fraction arithmetic: M·p + offset."""
     a, b, c, d = pose.matrix
     return Point(a * p.x + b * p.y + pose.offset.x,
                  c * p.x + d * p.y + pose.offset.y)
+
+
+def placed(g):
+    """The gadget's frame placed by its pose (``Pose._terms``) as
+    Fraction points: its selectors ``(name, centre, radius)``, markers
+    ``(name, centre)`` and ports ``(name, centre)``."""
+    def at(p):
+        return Point(*(F(*t) for t in g.pose._terms(*p, _DEN)))
+
+    sdisks, mdisks, ports = g.frame
+    return (tuple((n, at(p), r) for n, p, r in sdisks),
+            tuple((n, at(p)) for n, p in mdisks),
+            tuple((n, at(p)) for n, p, _ in ports))
 
 
 SIGNED_PERMUTATIONS = [(1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1),
@@ -121,7 +134,7 @@ class TestPose:
 
     def test_apply_rotation(self):
         pose = pose_at(10, 0, (0, -1, 1, 0))
-        assert pose.apply(Point(F(1), F(0))) == Point(F(10), F(1))
+        assert pose._terms(1, 0, 1) == ((10, 1), (1, 1))
 
     @pytest.mark.parametrize("kind", list(GadgetKind))
     def test_matches_fraction_formula(self, kind):
@@ -133,17 +146,23 @@ class TestPose:
         for matrix in SIGNED_PERMUTATIONS:
             for ox, oy in OFFSETS:
                 pose = pose_at(ox, oy, matrix)
-                for p in points:
-                    assert pose.apply(p) == reference_apply(pose, p)
                 g = build_gadget(kind, pose,
                                  with_absorber=kind is GadgetKind.INPUT)
-                assert g.sdisks == tuple(
+                frame = [p for _, p, _ in g.frame[0]] + \
+                    [p for _, p in g.frame[1]] + [p for _, p, _ in g.frame[2]]
+                assert len(frame) == len(points)
+                for p, q in zip(frame, points):
+                    want = reference_apply(pose, q)
+                    assert pose._terms(*p, _DEN) == (
+                        want.x.as_integer_ratio(), want.y.as_integer_ratio())
+                g_sdisks, g_mdisks, g_ports = placed(g)
+                assert g_sdisks == tuple(
                     (n, reference_apply(pose, p), r) for n, p, r in sdisks)
-                assert g.mdisks == tuple(
+                assert g_mdisks == tuple(
                     (n, reference_apply(pose, p)) for n, p in mdisks)
-                assert g.ports == tuple(
+                assert g_ports == tuple(
                     (n, reference_apply(pose, p)) for n, p in ports)
-                for q in (c for _, c, _ in g.sdisks):
+                for q in (c for _, c, _ in g_sdisks):
                     assert type(q.x) is F and type(q.y) is F
 
 
@@ -151,17 +170,17 @@ class TestGadgets:
     def test_ports_are_lattice_points(self):
         for kind in GadgetKind:
             g = build_gadget(kind, Pose())
-            for _, p in g.ports:
+            for _, p in placed(g)[2]:
                 assert p.x.denominator == 1 and p.y.denominator == 1
 
     def test_drop_ports(self):
         g = build_gadget(GadgetKind.COPY6, Pose(), drop_ports=("out_n",))
-        names = [n for n, _ in g.ports]
+        names = [n for n, _ in placed(g)[2]]
         assert "out_n" not in names and "out_s" in names
 
     def test_disjunction_selector_per_port(self):
         g = build_gadget(GadgetKind.DISJUNCTION, Pose(), drop_ports=("w",))
-        selectors = [n for n, _, _ in g.sdisks]
+        selectors = [n for n, _, _ in placed(g)[0]]
         assert sorted(selectors) == ["s_e", "s_s"]
 
 
@@ -214,9 +233,10 @@ def reference_assemble(gadgets):
     sdisk_list = []
     owners = {}
     for gi, g in enumerate(gadgets):
-        for name, p, r in g.sdisks:
+        sdisks, mdisks, ports = placed(g)
+        for name, p, r in sdisks:
             sdisk_list.append((gi, name, p, r))
-        for name, p in list(g.mdisks) + list(g.ports):
+        for name, p in mdisks + ports:
             owners.setdefault(p, []).append((gi, name))
 
     if any(len(v) > 2 for v in owners.values()):
@@ -277,9 +297,10 @@ def reference_assemble(gadgets):
     disks = []
     point_id = {}
     for g in gadgets:
-        for _, p, r in g.sdisks:
+        sdisks, mdisks, ports = placed(g)
+        for _, p, r in sdisks:
             disks.append(Disk(len(disks) + 1, p, r))
-        for _, p in list(g.mdisks) + list(g.ports):
+        for _, p in mdisks + ports:
             if p not in point_id:
                 disks.append(Disk(len(disks) + 1, p, eps))
                 point_id[p] = len(disks)
@@ -319,11 +340,11 @@ def random_layout(rng):
                        F(rng.randint(-4 * den, 4 * den), den))
         gadgets.append(random_gadget(rng)(offset))
     if len(gadgets) > 1 and rng.random() < 1 / 3:
-        _, c, r = rng.choice([s for g in gadgets[:-1] for s in g.sdisks])
+        _, c, r = rng.choice([s for g in gadgets[:-1] for s in placed(g)[0]])
         place = random_gadget(rng)
-        origin = place(Point(F(0), F(0)))
-        q = rng.choice([p for _, p, _ in origin.sdisks] +
-                       [p for _, p in origin.mdisks + origin.ports])
+        sdisks, mdisks, ports = placed(place(Point(F(0), F(0))))
+        q = rng.choice([p for _, p, _ in sdisks] +
+                       [p for _, p in mdisks + ports])
         dx, dy = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
         gadgets[-1] = place(Point(c.x + dx * r - q.x, c.y + dy * r - q.y))
     return gadgets
@@ -386,6 +407,22 @@ class TestReduceSat:
         assert not f.is_satisfied(bad)
         with pytest.raises(ReductionError):
             build_assignment_from_sat(art, bad)
+
+    @pytest.mark.parametrize("change", [
+        {4: None}, {4: 2}, {4: True}, {9: 1}],
+        ids=["missing", "two", "bool", "extra-key"])
+    def test_malformed_valuation_rejected(self, change):
+        """Keys other than exactly 1..V, or a value other than the int 0
+        or 1, fail as a ReductionError before any gadget is read."""
+        f, rep = three_clause_formula()
+        art = reduce_sat(f, grid_embed(f, rep))
+        values = next(val for bits in product((0, 1), repeat=4)
+                      if f.is_satisfied(
+                          val := {v + 1: b for v, b in enumerate(bits)}))
+        values.update(change)
+        values = {v: b for v, b in values.items() if b is not None}
+        with pytest.raises(ReductionError, match="variable"):
+            build_assignment_from_sat(art, values)
 
     def test_satisfying_valuation_round_trips(self):
         f, rep = single_negative_clause()
